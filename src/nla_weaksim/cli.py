@@ -30,7 +30,6 @@ from .experiment import (
     HeraldingModel,
     MeasurementConvention,
     SweepResult,
-    classical_visibility_bound,
     gain_sweep,
     gain_vs_phi,
     measure_input_size,
@@ -90,15 +89,19 @@ def parse_grid(spec: str) -> list[float]:
             if lo <= 0:
                 raise ConfigError(f"log grid {spec!r} needs positive bounds")
             step = (math.log(hi) - math.log(lo)) / (n - 1)
-            return [math.exp(math.log(lo) + step * i) for i in range(n)]
-        step = (hi - lo) / (n - 1)
-        return [lo + step * i for i in range(n)]
-    try:
-        values = [float(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"could not parse value list {spec!r}") from exc
-    if not values:
-        raise ConfigError(f"empty value list {spec!r}")
+            values = [math.exp(math.log(lo) + step * i) for i in range(n)]
+        else:
+            step = (hi - lo) / (n - 1)
+            values = [lo + step * i for i in range(n)]
+    else:
+        try:
+            values = [float(tok) for tok in spec.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"could not parse value list {spec!r}") from exc
+        if not values:
+            raise ConfigError(f"empty value list {spec!r}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"grid {spec!r} has non-finite values")
     return values
 
 
@@ -200,7 +203,7 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--alpha2 {ns.alpha2} is negative")
     phi = _phi_from(ns)
     spec = SignalSpec(kind, math.sqrt(ns.alpha2), loss=ns.loss)
-    pred = protocol.analytic(phi, spec.alpha)
+    pred = protocol.analytic(phi, spec.alpha, ns.gate)
     out = protocol.run_nla(spec, MeterSetting(phi), ns.gate, photon_cap=ns.cap)
     if out.conditional_state is None:
         raise NumericalFailure(
@@ -215,13 +218,11 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
         raise NumericalFailure("conditional state has no vacuum component")
     size_true = true_input_size(spec, photon_cap=ns.cap)
     size_meas = measure_input_size(spec, ns.gate, photon_cap=ns.cap)
-    closed = pred.p_success if ns.gate == "ppbs" else \
-        protocol.ideal_herald_probability(phi, spec.alpha)
     gain_est = size_out / size_meas if size_meas > 0 else math.nan
     amp = out.amplitude_gain
     row = [
         phi, pred.g2, ns.gate, kind, ns.alpha2, ns.loss,
-        out.herald_probability, closed,
+        out.herald_probability, pred.p_success,
         size_true, size_meas, size_out, gain_est,
         out.p1_out,
         amp.real if amp is not None else math.nan,
@@ -242,6 +243,12 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
     )
     _emit(_render_table(result, ns, None), _resolve_output(ns.output))
     return 0
+
+
+def _herald_exit_code(result: SweepResult) -> int:
+    """3 when any row flags a vanished herald, else 0."""
+    flag = result.columns.index("flag")
+    return 3 if any(row[flag] == "zero_herald" for row in result.rows) else 0
 
 
 def cmd_gain_sweep(ns: argparse.Namespace) -> int:
@@ -279,7 +286,7 @@ def cmd_gain_sweep(ns: argparse.Namespace) -> int:
         merged = with_sampled_output(merged)
         svg["sampled_column"] = "output_sampled"
     _emit(_render_table(merged, ns, svg), _resolve_output(ns.output))
-    return 3 if any(row[-1] == "zero_herald" for row in merged.rows) else 0
+    return _herald_exit_code(merged)
 
 
 def cmd_gain_vs_phi(ns: argparse.Namespace) -> int:
@@ -316,7 +323,7 @@ def cmd_gain_vs_phi(ns: argparse.Namespace) -> int:
         _emit(_io.svg_text(wide, **svg), _resolve_output(ns.output))
     else:
         _emit(_render_table(res, ns, None), _resolve_output(ns.output))
-    return 3 if any(row[-1] == "zero_herald" for row in res.rows) else 0
+    return _herald_exit_code(res)
 
 
 def cmd_visibility(ns: argparse.Namespace) -> int:
@@ -479,6 +486,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pre.add_argument("--config")
     pre_ns, _ = pre.parse_known_args(args)
     try:
+        cmd = None
         if pre_ns.config:
             cfg = _load_config(pre_ns.config)
             cmd = cfg.get("command")
@@ -494,14 +502,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ns = parser.parse_args(args)
         except SystemExit as exc:
             return int(exc.code or 0)
-        if pre_ns.config:
-            cmd = _load_config(pre_ns.config).get("command")
-            if cmd is not None and cmd != ns.command:
-                raise ConfigError(
-                    f"config is for command {cmd!r}, not {ns.command!r}"
-                )
-        if ns.cap < 1:
-            raise ConfigError(f"--cap {ns.cap} must be at least 1")
+        if cmd is not None and cmd != ns.command:
+            raise ConfigError(
+                f"config is for command {cmd!r}, not {ns.command!r}"
+            )
+        for key, value in sorted(vars(ns).items()):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"--{key.replace('_', '-')} {value} is not finite")
+        if ns.cap < 2:
+            raise ConfigError(
+                f"--cap {ns.cap} must be at least 2, the photons the gate acts on"
+            )
         return ns.fn(ns)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,13 +22,12 @@ import numpy as np
 
 from . import fock, protocol
 from .elements import DEFAULT_LAYOUT, ModeLayout
-from .fock import DensityOperator, State, StateVector
+from .fock import State, StateVector
 from .protocol import (
     GateKind,
     MeterSetting,
     SignalSpec,
     analytic,
-    gate_operator,
     phi_for_gain,
 )
 
@@ -143,14 +142,12 @@ def measure_input_size(
     postselected gate, 1 for the ideal one).
     """
     sig_state, _ = protocol.prepare_signal(signal, photon_cap, layout=layout)
-    joint, _ = fock.tensor(
-        sig_state, protocol.meter_h_state(layout=layout), photon_cap=photon_cap
-    )
-    evolved = fock.apply(gate_operator(gate, photon_cap, layout=layout), joint)
-    res = fock.project(evolved, protocol.meter_h_state(layout=layout))
-    if res.state is None:
+    _, blocks = protocol.herald_operators(gate, photon_cap, layout)
+    # meter H in, herald H out
+    cond, _ = protocol.apply_herald(blocks[0, 0], sig_state)
+    if cond is None:
         raise ZeroDivisionError("no transmitted population; cannot size the input")
-    return state_size(res.state, layout.signal_v)
+    return state_size(cond, layout.signal_v)
 
 
 def true_input_size(signal: SignalSpec, *, photon_cap: int = protocol.DEFAULT_PHOTON_CAP,

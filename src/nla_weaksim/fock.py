@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Union
@@ -23,9 +23,6 @@ import numpy as np
 
 DEFAULT_BASIS_LIMIT = 200_000
 BASIS_LIMIT_ENV = "NLA_WEAKSIM_MAX_BASIS"
-
-# probabilities below this are treated as an impossible outcome
-ZERO_PROBABILITY = 1e-30
 
 _UNITARY_ATOL = 1e-10
 
@@ -319,17 +316,6 @@ def lift_mode_transform(transform: ModeTransform, basis: FockBasis) -> np.ndarra
     return op
 
 
-def apply(op: np.ndarray, state: State) -> State:
-    """Evolve a pure state as op|psi> or a mixed state as op rho op^dag."""
-    if op.shape != (state.basis.size, state.basis.size):
-        raise ValueError(
-            f"operator shape {op.shape} does not match basis size {state.basis.size}"
-        )
-    if isinstance(state, StateVector):
-        return StateVector(state.basis, op @ state.amplitudes)
-    return DensityOperator(state.basis, op @ state.matrix @ op.conj().T)
-
-
 def tensor(
     a: State,
     b: State,
@@ -392,64 +378,6 @@ def tensor(
     return DensityOperator(basis, m), discarded
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
-    """Outcome of a projective measurement on a subset of modes.
-
-    ``state`` is the renormalized conditional state on the remaining modes,
-    or None when the outcome probability is (numerically) zero.
-    """
-
-    state: State | None
-    probability: float
-
-
-def _projection_map(state_basis: FockBasis, projector: StateVector):
-    """Matrix K with K[rest, joint] = conj(projector amplitude), plus rest basis."""
-    pb = projector.basis
-    if not set(pb.modes) <= set(state_basis.modes):
-        raise ValueError(
-            f"projector modes {pb.modes} not within state modes {state_basis.modes}"
-        )
-    rest_modes = tuple(m for m in state_basis.modes if m not in pb.modes)
-    rest = build_basis(len(rest_modes), state_basis.photon_cap, modes=rest_modes)
-    ppos = [state_basis.position(m) for m in pb.modes]
-    rpos = [state_basis.position(m) for m in rest_modes]
-    k = np.zeros((rest.size, state_basis.size), dtype=complex)
-    for jidx, occ in enumerate(state_basis.occupations):
-        pocc = tuple(occ[p] for p in ppos)
-        if sum(pocc) > pb.photon_cap:
-            # outside the projector's support: contributes nothing
-            continue
-        pamp = projector.amplitudes[pb.index_of(pocc)]
-        if pamp == 0:
-            continue
-        rocc = tuple(occ[p] for p in rpos)
-        k[rest.index_of(rocc), jidx] = np.conj(pamp)
-    return k, rest
-
-
-def project(state: State, projector: StateVector) -> ProjectionResult:
-    """Project a subset of modes onto a pure state.
-
-    Returns the renormalized conditional state on the remaining modes along
-    with the outcome probability.  A zero-probability outcome yields a
-    flagged empty result rather than an exception.
-    """
-    k, rest = _projection_map(state.basis, projector)
-    if isinstance(state, StateVector):
-        c = k @ state.amplitudes
-        prob = float(np.vdot(c, c).real)
-        if prob <= ZERO_PROBABILITY:
-            return ProjectionResult(None, prob)
-        return ProjectionResult(StateVector(rest, c / math.sqrt(prob)), prob)
-    m = k @ state.matrix @ k.conj().T
-    prob = float(np.trace(m).real)
-    if prob <= ZERO_PROBABILITY:
-        return ProjectionResult(None, prob)
-    return ProjectionResult(DensityOperator(rest, m / prob), prob)
-
-
 def partial_trace(state: State, trace_modes: Iterable[int]) -> DensityOperator:
     """Trace out the given modes; always returns a density operator.
 
@@ -501,31 +429,3 @@ def occupancy_distribution(state: State, mode: int) -> np.ndarray:
     for occ, w in zip(state.basis.occupations, weights):
         out[occ[pos]] += w
     return out
-
-
-def state_to_jsonable(state: State) -> dict:
-    """JSON-friendly dump of a state (debugging aid)."""
-    base = {
-        "modes": list(state.basis.modes),
-        "photon_cap": state.basis.photon_cap,
-        "occupations": [list(o) for o in state.basis.occupations],
-    }
-    if isinstance(state, StateVector):
-        base["amplitudes"] = [[z.real, z.imag] for z in state.amplitudes]
-    else:
-        base["matrix"] = [[[z.real, z.imag] for z in row] for row in state.matrix]
-    return base
-
-
-def state_from_jsonable(data: dict) -> State:
-    """Inverse of state_to_jsonable."""
-    basis = build_basis(
-        len(data["modes"]), data["photon_cap"], modes=tuple(data["modes"])
-    )
-    if "amplitudes" in data:
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return StateVector(basis, amps)
-    m = np.array(
-        [[complex(re, im) for re, im in row] for row in data["matrix"]]
-    )
-    return DensityOperator(basis, m)

@@ -10,7 +10,12 @@ gate rescales the gain to |g|^2 / 3 and succeeds with probability 1/9 on
 two-photon inputs.
 
 Gates are either 'ideal' (diagonal sign flip) or 'ppbs' (the postselected
-circuit, built from elements and lifted through permanents).
+circuit, built from elements and lifted through permanents).  Every herald
+goes through one route: the lifted gate U is cut, once per (gate, cap,
+layout), into four signal-space blocks K[a, b] = <a| U |b> between one meter
+photon in a and one in b (a, b in H, V).  A run at meter phase phi then
+applies M(phi) = (K_HH + i K_VH)/2 + i e^{i phi} (K_HV + i K_VV)/2 to the
+signal as M psi or M rho M^dag; the through-gate input size uses K_HH.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ GATE_TRANSMISSION = 1.0 / 3.0
 
 DEFAULT_PHOTON_CAP = 3
 
+# herald probabilities below this are treated as an impossible outcome
+ZERO_PROBABILITY = 1e-30
+
 _PHASE_TOL = 1e-12
 
 
@@ -70,6 +78,8 @@ class MeterSetting:
     phi: float
 
     def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise ValueError(f"meter phase {self.phi} is not finite")
         if not -math.pi <= self.phi <= math.pi:
             object.__setattr__(
                 self, "phi", math.remainder(self.phi, 2.0 * math.pi)
@@ -94,6 +104,8 @@ class SignalSpec:
     def __post_init__(self):
         if self.kind not in ("coherent", "qubit_truncated", "phase_averaged"):
             raise ValueError(f"unknown signal kind {self.kind!r}")
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"amplitude {self.alpha} is not finite")
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss {self.loss} outside [0, 1]")
 
@@ -220,42 +232,6 @@ def phase_averaged_state(
     return DensityOperator(basis, m), _poisson_tail(mean, photon_cap)
 
 
-def meter_state(phi: float, *, layout: ModeLayout = DEFAULT_LAYOUT) -> StateVector:
-    """Single meter photon (|H> + i e^{i phi} |V>)/sqrt(2)."""
-    basis = build_basis(2, 1, modes=tuple(sorted(layout.meter)))
-    amps = np.zeros(basis.size, dtype=complex)
-    h_occ = [0, 0]
-    h_occ[basis.position(layout.meter_h)] = 1
-    v_occ = [0, 0]
-    v_occ[basis.position(layout.meter_v)] = 1
-    amps[basis.index_of(tuple(h_occ))] = 1.0 / math.sqrt(2.0)
-    amps[basis.index_of(tuple(v_occ))] = 1.0j * cmath.exp(1.0j * phi) / math.sqrt(2.0)
-    return StateVector(basis, amps)
-
-
-def meter_projector(*, layout: ModeLayout = DEFAULT_LAYOUT) -> StateVector:
-    """Herald analysis state (|H> - i|V>)/sqrt(2) on the meter pair."""
-    basis = build_basis(2, 1, modes=tuple(sorted(layout.meter)))
-    amps = np.zeros(basis.size, dtype=complex)
-    h_occ = [0, 0]
-    h_occ[basis.position(layout.meter_h)] = 1
-    v_occ = [0, 0]
-    v_occ[basis.position(layout.meter_v)] = 1
-    amps[basis.index_of(tuple(h_occ))] = 1.0 / math.sqrt(2.0)
-    amps[basis.index_of(tuple(v_occ))] = -1.0j / math.sqrt(2.0)
-    return StateVector(basis, amps)
-
-
-def meter_h_state(*, layout: ModeLayout = DEFAULT_LAYOUT) -> StateVector:
-    """Meter photon prepared |H> (reference measurements)."""
-    basis = build_basis(2, 1, modes=tuple(sorted(layout.meter)))
-    amps = np.zeros(basis.size, dtype=complex)
-    h_occ = [0, 0]
-    h_occ[basis.position(layout.meter_h)] = 1
-    amps[basis.index_of(tuple(h_occ))] = 1.0
-    return StateVector(basis, amps)
-
-
 def ideal_cz(basis: FockBasis, *, layout: ModeLayout = DEFAULT_LAYOUT) -> np.ndarray:
     """Diagonal gate flipping the sign of exactly the components with one
     signal V photon and the meter photon in V."""
@@ -334,6 +310,71 @@ def prepare_signal(
     return state, tail
 
 
+@lru_cache(maxsize=None)
+def herald_operators(
+    gate: GateKind, photon_cap: int, layout: ModeLayout
+) -> tuple[FockBasis, np.ndarray]:
+    """Meter-conditioned blocks of the lifted gate on the signal modes.
+
+    Returns the two-signal-mode basis at the cap and a read-only array whose
+    block [a, b] is <one meter photon in a| U |one meter photon in b>, with
+    index 0 for H and 1 for V.  Gate outputs with no meter photon or two of
+    them are absent, so they never herald.  Columns of signal states at the
+    cap are zero: the meter photon would push them over it.
+    """
+    if photon_cap < 2:
+        raise ValueError(
+            f"photon cap {photon_cap} is below the two photons the gate acts on"
+        )
+    joint = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
+    signal = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
+    spos = [joint.position(m) for m in signal.modes]
+    inside = [i for i, n in enumerate(signal.totals()) if n < photon_cap]
+    joint_index = []
+    for meter_mode in layout.meter:
+        rows = []
+        for i in inside:
+            occ = [0] * joint.num_modes
+            for p, n in zip(spos, signal.occupations[i]):
+                occ[p] = n
+            occ[joint.position(meter_mode)] = 1
+            rows.append(joint.index_of(tuple(occ)))
+        joint_index.append(rows)
+    u = gate_operator(gate, photon_cap, layout=layout)
+    blocks = np.zeros((2, 2, signal.size, signal.size), dtype=complex)
+    for a in range(2):
+        for b in range(2):
+            blocks[a, b][np.ix_(inside, inside)] = u[
+                np.ix_(joint_index[a], joint_index[b])
+            ]
+    blocks.flags.writeable = False
+    return signal, blocks
+
+
+def apply_herald(op: np.ndarray, state: State) -> tuple[State | None, float]:
+    """Conditional state op|psi> or op rho op^dag, renormalized, and its
+    probability.  The state is None when the probability vanishes or is not
+    a number."""
+    if isinstance(state, StateVector):
+        c = op @ state.amplitudes
+        prob = float(np.vdot(c, c).real)
+        if not prob > ZERO_PROBABILITY:
+            return None, prob
+        return StateVector(state.basis, c / math.sqrt(prob)), prob
+    m = op @ state.matrix @ op.conj().T
+    prob = float(np.trace(m).real)
+    if not prob > ZERO_PROBABILITY:
+        return None, prob
+    return DensityOperator(state.basis, m / prob), prob
+
+
+def _weight_at_cap(state: State) -> float:
+    at_cap = np.array(state.basis.totals()) == state.basis.photon_cap
+    if isinstance(state, StateVector):
+        return float(np.sum(np.abs(state.amplitudes[at_cap]) ** 2))
+    return float(np.sum(np.diag(state.matrix).real[at_cap]))
+
+
 def run_nla(
     signal: Union[SignalSpec, State],
     meter: Union[MeterSetting, float],
@@ -344,29 +385,34 @@ def run_nla(
 ) -> ProtocolOutcome:
     """One heralded amplifier run.
 
-    Joins the signal with the meter photon, applies the gate, and projects
-    the meter pair onto the herald analysis state.  Meter components outside
-    the one-photon sector never match the herald and count as failures.
+    Applies the heralded map M(phi) of the gate's meter blocks to the signal.
+    A prebuilt signal state must live on the two signal modes at the cap.
     Returns the conditional signal state, the herald probability, the
-    conditional one-photon probability of the signal V mode and the total
-    truncation weight dropped along the way.
+    conditional one-photon probability of the signal V mode and the
+    truncation weight: the prepared tail beyond the cap plus the signal
+    weight at the cap, which has no room for the meter photon.
     """
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
+    basis, k = herald_operators(gate, photon_cap, layout)
     if isinstance(signal, (StateVector, DensityOperator)):
+        if signal.basis != basis:
+            raise ValueError(
+                f"signal basis {signal.basis} is not the signal modes at cap "
+                f"{photon_cap}"
+            )
         sig_state: State = signal
         tail = 0.0
         spec = None
     else:
         spec = signal
         sig_state, tail = prepare_signal(spec, photon_cap, layout=layout)
-    joint, dropped = fock.tensor(sig_state, meter_state(phi, layout=layout),
-                                 photon_cap=photon_cap)
-    truncation = tail + dropped
-    evolved = fock.apply(gate_operator(gate, photon_cap, layout=layout), joint)
-    res = fock.project(evolved, meter_projector(layout=layout))
-    if res.state is None:
-        return ProtocolOutcome(None, res.probability, 0.0, truncation)
-    cond = res.state
+    # meter (|H> + i e^{i phi} |V>)/sqrt(2) in, herald (|H> - i|V>)/sqrt(2)
+    heralded = (k[0, 0] + 1j * k[1, 0]) / 2.0 \
+        + 1j * cmath.exp(1.0j * phi) * (k[0, 1] + 1j * k[1, 1]) / 2.0
+    truncation = tail + _weight_at_cap(sig_state)
+    cond, prob = apply_herald(heralded, sig_state)
+    if cond is None:
+        return ProtocolOutcome(None, prob, 0.0, truncation)
     p1 = fock.occupancy_probability(cond, layout.signal_v, 1)
     amp_gain = None
     if isinstance(cond, StateVector) and spec is not None and spec.alpha != 0:
@@ -378,20 +424,26 @@ def run_nla(
         c1 = cond.amplitudes[b.index_of(tuple(one))]
         if abs(c0) > 0:
             amp_gain = complex(c1 / (c0 * spec.alpha))
-    return ProtocolOutcome(cond, res.probability, p1, truncation, amp_gain)
+    return ProtocolOutcome(cond, prob, p1, truncation, amp_gain)
 
 
-def analytic(meter: Union[MeterSetting, float], alpha: complex) -> AnalyticPrediction:
-    """Closed-form gain and herald probability for the postselected gate.
+def analytic(
+    meter: Union[MeterSetting, float], alpha: complex, gate: GateKind = "ppbs"
+) -> AnalyticPrediction:
+    """Closed-form gain and herald probability.
 
     g = (1 + e^{i phi})/(1 - e^{i phi}); |g|^2 = cot^2(phi/2); the
-    postselected gate rescales the intensity gain by 1/3 and heralds with
+    postselected gate rescales the intensity gain by its transmission
+    t = 1/3.  On a two-level input the gate heralds with
 
-        p = (N^2 / 3) * [1 / (1 + 3 |g'|^2)] * (1 + |g'|^2 |alpha|^2),
+        p = N^2 t sin^2(phi/2) (1 + t |g|^2 |alpha|^2),
 
-    N^2 = exp(-|alpha|^2).  The bracket equals sin^2(phi/2); the N^2 (input)
-    normalization is the one the simulated herald norm reproduces exactly.
+    N^2 = exp(-|alpha|^2), where t = 1/3 for the postselected gate and 1
+    for the ideal one; the N^2 (input) normalization is the one the
+    simulated herald norm reproduces exactly.
     """
+    if gate not in ("ideal", "ppbs"):
+        raise ValueError(f"unknown gate {gate!r}")
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
     w = cmath.exp(1.0j * phi)
     if abs(w - 1.0) < _PHASE_TOL:
@@ -400,8 +452,8 @@ def analytic(meter: Union[MeterSetting, float], alpha: complex) -> AnalyticPredi
     g2 = abs(g) ** 2
     g2n = g2 / 3.0
     a2 = abs(alpha) ** 2
-    n2 = math.exp(-a2)
-    p = (n2 / 3.0) * (1.0 / (1.0 + 3.0 * g2n)) * (1.0 + g2n * a2)
+    t = GATE_TRANSMISSION if gate == "ppbs" else 1.0
+    p = math.exp(-a2) * t * math.sin(phi / 2.0) ** 2 * (1.0 + t * g2 * a2)
     return AnalyticPrediction(
         g=g,
         g2=g2,
@@ -410,13 +462,6 @@ def analytic(meter: Union[MeterSetting, float], alpha: complex) -> AnalyticPredi
         norm_in=math.exp(-a2 / 2.0),
         norm_out=math.exp(-g2n * a2 / 2.0),
     )
-
-
-def ideal_herald_probability(phi: float, alpha: complex) -> float:
-    """Herald probability of the deterministic gate on a two-level input."""
-    g2 = abs((1.0 + cmath.exp(1.0j * phi)) / (1.0 - cmath.exp(1.0j * phi))) ** 2
-    a2 = abs(alpha) ** 2
-    return math.exp(-a2) * math.sin(phi / 2.0) ** 2 * (1.0 + g2 * a2)
 
 
 def phi_for_gain(target_g2: float) -> float:

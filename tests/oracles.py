@@ -96,6 +96,25 @@ def loss_via_ancilla(pops, loss, cap):
     return out
 
 
+def loss_output(amps, transmission):
+    """Closed-form density matrix of a pure single-mode state after loss.
+
+    rho[m, n] = sum_k sqrt(C(m+k, k) C(n+k, k)) T^((m+n)/2) (1-T)^k
+    a_{m+k} conj(a_{n+k}), written in the transmission T itself so that a
+    tiny T keeps its precision.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    dim = len(amps)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for m in range(dim):
+        for n in range(dim):
+            for k in range(dim - max(m, n)):
+                weight = math.sqrt(math.comb(m + k, k) * math.comb(n + k, k))
+                weight *= math.sqrt(transmission) ** (m + n) * (1.0 - transmission) ** k
+                rho[m, n] += weight * amps[m + k] * np.conj(amps[n + k])
+    return rho
+
+
 def haar_unitary(n, rng):
     """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)

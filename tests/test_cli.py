@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
+from nla_weaksim import protocol
 from nla_weaksim.cli import ConfigError, main, parse_grid
 
 
@@ -37,7 +39,8 @@ def test_parse_grid_lin_and_list():
 
 @pytest.mark.parametrize(
     "bad",
-    ["1:2", "1:2:cub5", "1:2:log1", "2:1:log5", "0:1:log5", "a,b", "", "1:2:logx"],
+    ["1:2", "1:2:cub5", "1:2:log1", "2:1:log5", "0:1:log5", "a,b", "", "1:2:logx",
+     "nan,1", "1,inf", "1:inf:log3"],
 )
 def test_parse_grid_rejects(bad):
     with pytest.raises(ConfigError):
@@ -121,12 +124,26 @@ def test_gain_vs_phi_degrees(tmp_path):
 
 
 def test_byte_identical_reruns_with_seed(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["gain-sweep", "--gains", "3", "--inputs", "1e-5,1e-4",
-            "--shots", "1000000", "--seed", "9", "--rate-scale", "100"]
-    assert main(args + ["--output", str(a)]) == 0
-    assert main(args + ["--output", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    cases = {
+        "protocol": (["protocol", "--gain", "3", "--loss", "0.2"],
+                     ("csv", "json")),
+        "gain-sweep": (["gain-sweep", "--gains", "3", "--inputs", "1e-5,1e-4",
+                        "--shots", "1000000", "--seed", "9",
+                        "--rate-scale", "100"], ("csv", "json", "svg")),
+        "gain-vs-phi": (["gain-vs-phi", "--inputs", "1e-4", "--phis", "0.5,1.5",
+                         "--shots", "1000000", "--seed", "9"],
+                        ("csv", "json", "svg")),
+        "visibility": (["visibility", "--gains", "2,3", "--shots", "1000000",
+                        "--seed", "9", "--rate-scale", "1e4"],
+                       ("csv", "json", "svg")),
+    }
+    for name, (args, formats) in cases.items():
+        for fmt in formats:
+            a, b = tmp_path / f"{name}-a.{fmt}", tmp_path / f"{name}-b.{fmt}"
+            assert main(args + ["--format", fmt, "--output", str(a)]) == 0
+            assert main(args + ["--format", fmt, "--output", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes(), (name, fmt)
+    a = tmp_path / "gain-sweep-a.csv"
     c = tmp_path / "c.csv"
     assert main(["gain-sweep", "--gains", "3", "--inputs", "1e-5,1e-4",
                  "--shots", "1000000", "--seed", "10", "--rate-scale", "100",
@@ -226,3 +243,37 @@ def test_unknown_command_exits_two():
 
 def test_cap_validation():
     assert main(["gain-sweep", "--inputs", "1e-5", "--cap", "0"]) == 2
+    # cap 1 leaves the two-photon gate no support
+    assert main(["protocol", "--signal", "qubit", "--loss", "0.5", "--cap", "1",
+                 "--gain", "3"]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["protocol", "--phi", "nan"],
+        ["protocol", "--gain", "3", "--alpha2", "nan"],
+        ["gain-sweep", "--gains", "nan", "--inputs", "1e-4"],
+        ["visibility", "--alpha", "nan", "--gains", "2"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_non_finite_values_exit_two(args, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(args) == 2
+    assert caught == []
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["gain-sweep", "--gains", "3", "--inputs", "1e-5"],
+    ["gain-vs-phi", "--inputs", "1e-5", "--phis", "1.0"],
+], ids=["gain-sweep", "gain-vs-phi"])
+def test_vanished_herald_exits_numerical_with_shots(args, monkeypatch):
+    def vanished(*_args, **_kwargs):
+        return protocol.ProtocolOutcome(None, 0.0, 0.0, 0.0)
+
+    monkeypatch.setattr(protocol, "run_nla", vanished)
+    assert main(args) == 3
+    assert main(args + ["--shots", "1000", "--seed", "1"]) == 3

@@ -11,17 +11,15 @@ from hypothesis import strategies as st
 import oracles
 from nla_weaksim import fock
 from nla_weaksim.elements import DEFAULT_LAYOUT
-from nla_weaksim.fock import DensityOperator, StateVector, TruncationError, build_basis
+from nla_weaksim.fock import DensityOperator, TruncationError, build_basis
 from nla_weaksim.protocol import (
     InfiniteGainError,
     MeterSetting,
     SignalSpec,
     analytic,
     gate_operator,
+    herald_operators,
     ideal_cz,
-    ideal_herald_probability,
-    meter_projector,
-    meter_state,
     phase_averaged_state,
     phi_for_gain,
     ppbs_cz_circuit,
@@ -50,11 +48,14 @@ def test_truncated_coherent_rejects_large_tail():
 
 
 def test_meter_state_and_projector_overlap():
+    # the signal vacuum crosses the ideal gate untouched, so it heralds with
+    # |<analysis|meter>|^2 = |(1 - e^{i phi})/2|^2
+    vacuum = SignalSpec("qubit_truncated", 0.0)
     for phi in PHI_GRID:
-        m = meter_state(phi)
-        p = meter_projector()
-        got = p.overlap(m)
-        assert got == pytest.approx((1 - cmath.exp(1j * phi)) / 2, abs=1e-14)
+        out = run_nla(vacuum, MeterSetting(phi), "ideal")
+        assert out.herald_probability == pytest.approx(
+            abs((1 - cmath.exp(1j * phi)) / 2) ** 2, abs=1e-14
+        )
 
 
 def test_analytic_gain_is_imaginary_cotangent():
@@ -110,15 +111,18 @@ def test_amplitude_gain_follows_cotangent(gate):
         assert out.amplitude_gain == pytest.approx(want, abs=1e-10)
 
 
-def test_herald_probability_closed_form_two_level_input():
-    for phi in PHI_GRID:
-        for a2 in (1e-6, 1e-4, 1e-3):
-            alpha = math.sqrt(a2)
-            out = run_nla(SignalSpec("qubit_truncated", alpha), MeterSetting(phi))
-            pred = analytic(phi, alpha)
-            assert out.herald_probability == pytest.approx(
-                pred.p_success, rel=1e-12
-            )
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["ppbs", "ideal"]),
+    st.floats(min_value=0.2, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=1e-3),
+)
+def test_herald_probability_closed_form_two_level_input(gate, phi, a2):
+    alpha = math.sqrt(a2)
+    out = run_nla(SignalSpec("qubit_truncated", alpha), MeterSetting(phi), gate)
+    assert out.herald_probability == pytest.approx(
+        analytic(phi, alpha, gate).p_success, rel=1e-12
+    )
 
 
 def test_herald_probability_coherent_input_close_to_closed_form():
@@ -134,13 +138,18 @@ def test_herald_probability_coherent_input_close_to_closed_form():
 
 
 def test_ideal_gate_herald_closed_form():
+    alpha = 0.01
     for phi in PHI_GRID:
-        alpha = 0.01
+        want = math.exp(-(alpha**2)) * math.sin(phi / 2) ** 2 \
+            * (1 + alpha**2 / math.tan(phi / 2) ** 2)
         out = run_nla(SignalSpec("qubit_truncated", alpha), MeterSetting(phi),
                       "ideal")
-        assert out.herald_probability == pytest.approx(
-            ideal_herald_probability(phi, alpha), rel=1e-12
+        assert out.herald_probability == pytest.approx(want, rel=1e-12)
+        assert analytic(phi, alpha, "ideal").p_success == pytest.approx(
+            want, rel=1e-12
         )
+    with pytest.raises(ValueError):
+        analytic(1.1, alpha, "cz")
 
 
 def test_full_deamplification_at_pi():
@@ -153,20 +162,58 @@ def test_full_deamplification_at_pi():
 
 def test_run_matches_brute_force_reference():
     rng = np.random.default_rng(77)
-    for gate in ("ppbs", "ideal"):
-        for phi in (0.4, 1.1, 2.0):
-            alpha = (rng.normal() + 1j * rng.normal()) * 0.02
-            sig = oracles.coherent_amps(alpha, 3)
-            ref_cond, ref_prob = oracles.run_reference(sig, phi, gate)
-            out = run_nla(SignalSpec("coherent", alpha), MeterSetting(phi), gate)
-            assert out.herald_probability == pytest.approx(ref_prob, rel=1e-10)
-            cond = out.conditional_state
-            norm = math.sqrt(
-                sum(abs(a) ** 2 for a in ref_cond.values())
-            )
-            for occ, amp in ref_cond.items():
-                got = cond.amplitude(occ)
-                assert got == pytest.approx(amp / norm, abs=1e-10)
+    for cap in (2, 3, 4, 5):
+        for gate in ("ppbs", "ideal"):
+            for phi in (0.4, 1.1, 2.0):
+                alpha = (rng.normal() + 1j * rng.normal()) * 0.02
+                sig = oracles.coherent_amps(alpha, cap)
+                ref_cond, ref_prob = oracles.run_reference(sig, phi, gate, cap)
+                out = run_nla(SignalSpec("coherent", alpha), MeterSetting(phi),
+                              gate, photon_cap=cap)
+                assert out.herald_probability == pytest.approx(ref_prob,
+                                                               rel=1e-10)
+                # weight at and beyond the cap has no room for the meter
+                assert out.truncation_weight == pytest.approx(
+                    oracles.poisson_tail(abs(alpha) ** 2, cap - 1), rel=1e-9
+                )
+                cond = out.conditional_state
+                norm = math.sqrt(
+                    sum(abs(a) ** 2 for a in ref_cond.values())
+                )
+                for occ, amp in ref_cond.items():
+                    got = cond.amplitude(occ)
+                    assert got == pytest.approx(amp / norm, abs=1e-10)
+
+
+def test_diagonal_input_matches_weighted_reference():
+    # a diagonal input heralds as the mixture of its Fock components
+    alpha, phi = 0.3, 1.1
+    for cap in (2, 3):
+        pops = [math.exp(-(alpha**2)) * alpha ** (2 * n) / math.factorial(n)
+                for n in range(cap + 1)]
+        for loss in (0.0, 0.4):
+            weights = oracles.loss_via_ancilla(pops, loss, cap)
+            for gate in ("ppbs", "ideal"):
+                out = run_nla(SignalSpec("phase_averaged", alpha, loss=loss),
+                              MeterSetting(phi), gate, photon_cap=cap)
+                basis = out.conditional_state.basis
+                want = np.zeros((basis.size, basis.size), dtype=complex)
+                prob = 0.0
+                for n, w in enumerate(weights):
+                    cond, p = oracles.run_reference([0] * n + [1], phi, gate,
+                                                    cap)
+                    vec = np.zeros(basis.size, dtype=complex)
+                    for occ, amp in cond.items():
+                        vec[basis.index_of(occ)] = amp
+                    want += w * np.outer(vec, vec.conj())
+                    prob += w * p
+                assert out.herald_probability == pytest.approx(prob, rel=1e-10)
+                got = out.conditional_state.matrix * out.herald_probability
+                assert np.max(np.abs(got - want)) < 1e-12
+                assert out.truncation_weight == pytest.approx(
+                    weights[cap] + oracles.poisson_tail(alpha**2, cap),
+                    rel=1e-9,
+                )
 
 
 def test_gate_operator_is_cached():
@@ -176,18 +223,64 @@ def test_gate_operator_is_cached():
     assert not a.flags.writeable
 
 
+def test_herald_operators_cut_the_lifted_gate():
+    basis, k = herald_operators("ideal", 3, DEFAULT_LAYOUT)
+    assert herald_operators("ideal", 3, DEFAULT_LAYOUT)[1] is k
+    assert not k.flags.writeable
+    assert basis == build_basis(2, 3, modes=tuple(sorted(DEFAULT_LAYOUT.signal)))
+    at_cap = [i for i, n in enumerate(basis.totals()) if n == 3]
+    assert not np.any(k[:, :, :, at_cap])
+    # the ideal gate keeps the meter photon, so the two analysis outcomes
+    # together keep the norm of any signal below the cap
+    rng = np.random.default_rng(5)
+    amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    amps[at_cap] = 0.0
+    for b in range(2):
+        kept = sum(np.linalg.norm(k[a, b] @ amps) ** 2 for a in range(2))
+        assert kept == pytest.approx(np.linalg.norm(amps) ** 2, rel=1e-12)
+
+
+def test_run_rejects_low_cap_and_foreign_basis():
+    with pytest.raises(ValueError):
+        herald_operators("ppbs", 1, DEFAULT_LAYOUT)
+    with pytest.raises(ValueError):
+        run_nla(SignalSpec("qubit_truncated", 0.5, loss=0.5), MeterSetting(1.1),
+                photon_cap=1)
+    rho, _ = phase_averaged_state(0.01, 4)
+    with pytest.raises(ValueError):
+        run_nla(rho, MeterSetting(1.1), photon_cap=3)
+
+
+def test_vanished_herald_flags_none():
+    # on the signal vacuum the ideal gate heralds with (1 - e^{i phi})/2,
+    # exactly zero at phi = 0; a NaN phase must not pass as a herald either
+    vacuum = SignalSpec("qubit_truncated", 0.0)
+    rho, _ = phase_averaged_state(0.0, 3)
+    for signal in (vacuum, rho):
+        for phi in (0.0, math.nan):
+            out = run_nla(signal, phi, "ideal")
+            assert out.conditional_state is None
+            assert not out.herald_probability > 0.0
+
+
 def test_two_photon_meter_events_fail_quietly():
-    meter_basis = build_basis(
-        2, 2, modes=tuple(sorted(DEFAULT_LAYOUT.meter))
-    )
-    amps = np.zeros(meter_basis.size, dtype=complex)
-    amps[meter_basis.index_of((1, 1))] = 1.0
-    two_photon_meter = StateVector(meter_basis, amps)
-    sig, _ = truncated_coherent(0.01, 1, mode=DEFAULT_LAYOUT.signal_v)
-    joint, _ = fock.tensor(sig, two_photon_meter, photon_cap=3)
-    res = fock.project(joint, meter_projector())
-    assert res.state is None
-    assert res.probability == 0.0
+    # a signal V photon meeting the meter V photon on the central splitter
+    # can leave both photons in one arm; with no single meter photon those
+    # outcomes never herald
+    lay = DEFAULT_LAYOUT
+    basis, k = herald_operators("ppbs", 2, lay)
+    joint = build_basis(4, 2)
+    occ_in = [0, 0, 0, 0]
+    occ_in[lay.signal_v] = 1
+    occ_in[lay.meter_v] = 1
+    col = gate_operator("ppbs", 2)[:, joint.index_of(tuple(occ_in))]
+    meter_photons = [occ[lay.meter_h] + occ[lay.meter_v]
+                     for occ in joint.occupations]
+    one = sum(abs(c) ** 2 for c, m in zip(col, meter_photons) if m == 1)
+    two = sum(abs(c) ** 2 for c, m in zip(col, meter_photons) if m != 1)
+    assert two > 0.1
+    heralded = np.sum(np.abs(k[:, 1, :, basis.index_of((0, 1))]) ** 2)
+    assert heralded == pytest.approx(one, rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -264,3 +357,11 @@ def test_signal_spec_validation():
         SignalSpec("squeezed", 0.1)
     with pytest.raises(ValueError):
         SignalSpec("coherent", 0.1, loss=1.2)
+    for bad in (math.nan, math.inf, complex(0.1, math.nan)):
+        with pytest.raises(ValueError):
+            SignalSpec("coherent", bad)
+    with pytest.raises(ValueError):
+        SignalSpec("coherent", 0.1, loss=math.nan)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            MeterSetting(bad)
