@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -192,6 +193,8 @@ def _render_table(result: SweepResult, ns: argparse.Namespace,
 def _phi_from(ns: argparse.Namespace) -> float:
     if ns.phi is not None:
         return math.radians(ns.phi) if ns.degrees else ns.phi
+    if ns.gain is None:
+        raise ConfigError("one of --phi and --gain is required")
     return protocol.phi_for_gain(ns.gain)
 
 
@@ -218,7 +221,12 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
         raise NumericalFailure("conditional state has no vacuum component")
     size_true = true_input_size(spec, photon_cap=ns.cap)
     size_meas = measure_input_size(spec, ns.gate, photon_cap=ns.cap)
-    gain_est = size_out / size_meas if size_meas > 0 else math.nan
+    if not size_meas > 0:
+        raise ConfigError(
+            f"no input photon reaches the gate (--alpha2 {ns.alpha2:g}, "
+            f"--loss {ns.loss:g}), so the gain is undefined"
+        )
+    gain_est = size_out / size_meas
     amp = out.amplitude_gain
     row = [
         phi, pred.g2, ns.gate, kind, ns.alpha2, ns.loss,
@@ -334,6 +342,8 @@ def cmd_visibility(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--alpha {ns.alpha} must be positive")
     if ns.points < 4:
         raise ConfigError("--points must be at least 4 to fit a fringe")
+    if ns.bias is not None and ns.bias < 0:
+        raise ConfigError(f"--bias {ns.bias} is negative")
     counting = _counting(ns)
     rows = []
     scans = []
@@ -419,7 +429,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("protocol", help="single heralded run")
-    grp = p.add_mutually_exclusive_group(required=True)
+    grp = p.add_mutually_exclusive_group()
     grp.add_argument("--phi", type=float, help="meter phase")
     grp.add_argument("--gain", type=float,
                      help="nominal intensity gain; sets phi = 2 atan(1/sqrt g)")
@@ -478,34 +488,45 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     return parser, sub
 
 
+# every call without --config parses with this one tree, never mutated
+_shared_parser = lru_cache(maxsize=1)(build_parser)
+
+
+def _parse(args: list[str]) -> argparse.Namespace:
+    """Namespace of the command line, over --config defaults when given.
+
+    A config file's values become the defaults of a tree of its own, so
+    explicit flags still override them.  A flag of a mutually exclusive
+    group on the command line replaces the config's values for the whole
+    group.
+    """
+    parser, sub = _shared_parser()
+    ns = parser.parse_args(args)
+    if not ns.config:
+        return ns
+    cfg = _load_config(ns.config)
+    cmd = cfg.get("command")
+    if cmd is not None and cmd != ns.command:
+        raise ConfigError(f"config is for command {cmd!r}, not {ns.command!r}")
+    parser, sub = build_parser()
+    sp = sub.choices[ns.command]
+    skip = set(CONFIG_EXCLUDE)
+    for grp in sp._mutually_exclusive_groups:
+        dests = {a.dest for a in grp._group_actions}
+        if any(getattr(ns, d) is not None for d in dests):
+            skip |= dests
+    valid = {a.dest for a in sp._actions}
+    sp.set_defaults(**{k: v for k, v in cfg.items() if k in valid and k not in skip})
+    return parser.parse_args(args)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
-    parser, sub = build_parser()
-
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    pre_ns, _ = pre.parse_known_args(args)
     try:
-        cmd = None
-        if pre_ns.config:
-            cfg = _load_config(pre_ns.config)
-            cmd = cfg.get("command")
-            for name, sp in sub.choices.items():
-                if cmd is not None and name != cmd:
-                    continue
-                valid = {a.dest for a in sp._actions}
-                sp.set_defaults(**{
-                    k: v for k, v in cfg.items()
-                    if k in valid and k not in ("config", "output", "fn")
-                })
         try:
-            ns = parser.parse_args(args)
+            ns = _parse(args)
         except SystemExit as exc:
             return int(exc.code or 0)
-        if cmd is not None and cmd != ns.command:
-            raise ConfigError(
-                f"config is for command {cmd!r}, not {ns.command!r}"
-            )
         for key, value in sorted(vars(ns).items()):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"--{key.replace('_', '-')} {value} is not finite")

@@ -448,6 +448,8 @@ def visibility_experiment(
     """
     if bias_ratio is None:
         bias_ratio = nominal_g2
+    if not bias_ratio >= 0.0:
+        raise ValueError(f"bias_ratio {bias_ratio} must be nonnegative")
     phi = phi_for_gain(nominal_g2)
     alpha_v = input_mag
     alpha_h = math.sqrt(bias_ratio) * input_mag

@@ -298,7 +298,21 @@ def prepare_signal(
     *,
     layout: ModeLayout = DEFAULT_LAYOUT,
 ) -> tuple[State, float]:
-    """Signal state on the (H, V) signal modes per the spec, plus tail weight."""
+    """Signal state on the (H, V) signal modes per the spec, plus tail weight.
+
+    Cached: the run and the input sizes of one point share one read-only
+    state.  The key holds the amplitude's type because specs with equal
+    float and complex amplitudes compare equal, yet their powers round
+    differently.
+    """
+    return _prepare_signal(spec, type(spec.alpha), photon_cap, layout)
+
+
+# bounded: sweeps draw a new spec per point, so only the last few recur
+@lru_cache(maxsize=8)
+def _prepare_signal(
+    spec: SignalSpec, alpha_type: type, photon_cap: int, layout: ModeLayout
+) -> tuple[State, float]:
     if spec.kind == "coherent":
         state, tail = two_mode_coherent(0.0, spec.alpha, photon_cap, layout=layout)
     elif spec.kind == "qubit_truncated":

@@ -174,6 +174,31 @@ def test_config_flag_override(tmp_path):
     assert doc["config"]["inputs"] == "1e-5"
 
 
+def test_config_replays_protocol(tmp_path):
+    first = tmp_path / "first.json"
+    args = ["protocol", "--gain", "3", "--alpha2", "5e-4", "--loss", "0.3",
+            "--signal", "phase-averaged", "--cap", "4"]
+    assert main(args + ["--output", str(first)]) == 0
+    second = tmp_path / "second.json"
+    assert main(["protocol", "--config", str(first),
+                 "--output", str(second)]) == 0
+    assert first.read_bytes() == second.read_bytes()
+    # an explicit flag overrides the config, --phi its --gain too
+    for flag, value in (("--gain", "6"), ("--phi", "1.0")):
+        third = tmp_path / "third.json"
+        assert main(["protocol", "--config", str(first), flag, value,
+                     "--output", str(third)]) == 0
+        config = json.loads(third.read_text())["config"]
+        assert config[flag[2:]] == float(value)
+        assert config["phi" if flag == "--gain" else "gain"] is None
+        assert config["alpha2"] == 5e-4
+    # a later call without --config keeps the built-in defaults
+    fourth = tmp_path / "fourth.json"
+    assert main(["protocol", "--gain", "3", "--output", str(fourth)]) == 0
+    config = json.loads(fourth.read_text())["config"]
+    assert (config["alpha2"], config["loss"], config["cap"]) == (1e-4, 0.0, 3)
+
+
 def test_config_command_mismatch(tmp_path, capsys):
     first = tmp_path / "first.json"
     assert main(["gain-sweep", "--inputs", "1e-5", "--format", "json",
@@ -213,6 +238,16 @@ def test_visibility_csv_two_decimal_bounds(tmp_path):
     assert bounds == [0.71, 0.58, 0.5, 0.45]
     vis = [float(r[header.index("visibility")]) for r in rows]
     assert all(v == pytest.approx(1.0, abs=1e-6) for v in vis)
+
+
+def test_visibility_rejects_negative_bias(capsys):
+    assert main(["visibility", "--gains", "2", "--bias", "-1"]) == 2
+    assert "--bias" in capsys.readouterr().err
+    # no H amplitude: nothing to interfere with
+    assert main(["visibility", "--gains", "2", "--bias", "0"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    row = dict(zip(header.split(","), rows[0].split(",")))
+    assert float(row["visibility"]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_visibility_rejects_gain_below_one():
@@ -264,6 +299,23 @@ def test_non_finite_values_exit_two(args, capsys):
         assert main(args) == 2
     assert caught == []
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["protocol", "--gain", "3", "--alpha2", "0"],
+        ["protocol", "--gain", "3", "--alpha2", "1e-4", "--loss", "1"],
+        ["protocol", "--gain", "3", "--signal", "phase-averaged",
+         "--alpha2", "0"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_vacuum_input_exits_two(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--alpha2" in captured.err and "--loss" in captured.err
 
 
 @pytest.mark.parametrize("args", [

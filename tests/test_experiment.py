@@ -185,6 +185,13 @@ def test_visibility_unbiased_input_dilutes_contrast():
     assert scan.fit.visibility == pytest.approx(0.8, abs=1e-6)
 
 
+def test_visibility_rejects_negative_bias():
+    with pytest.raises(ValueError, match="bias_ratio"):
+        visibility_experiment(2.0, bias_ratio=-1.0)
+    assert visibility_experiment(2.0, bias_ratio=0.0).fit.visibility == \
+        pytest.approx(0.0, abs=1e-12)
+
+
 def test_visibility_bound_rejects_attenuation():
     with pytest.raises(ValueError):
         classical_visibility_bound(0.5)

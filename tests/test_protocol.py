@@ -7,16 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
-from nla_weaksim import fock
+from nla_weaksim import fock, protocol
 from nla_weaksim.elements import DEFAULT_LAYOUT
-from nla_weaksim.fock import DensityOperator, TruncationError, build_basis
+from nla_weaksim.fock import DensityOperator, StateVector, TruncationError, build_basis
 from nla_weaksim.protocol import (
     InfiniteGainError,
     MeterSetting,
     SignalSpec,
     analytic,
+    apply_herald,
     gate_operator,
     herald_operators,
     ideal_cz,
@@ -125,6 +127,41 @@ def test_herald_probability_closed_form_two_level_input(gate, phi, a2):
     )
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["ppbs", "ideal"]),
+    st.integers(min_value=2, max_value=4),
+    st.floats(min_value=0.0, max_value=math.pi, exclude_min=True),
+    st.booleans(),
+    st.data(),
+)
+def test_herald_probability_never_exceeds_input_trace(gate, cap, phi, mixed,
+                                                      data):
+    # M(phi) and K_HH are blocks of the lifted gate, a contraction, between
+    # unit meter states, so no herald keeps more than the input weight
+    basis, k = herald_operators(gate, cap, DEFAULT_LAYOUT)
+    rank = data.draw(st.integers(1, basis.size)) if mixed else 1
+    parts = [
+        data.draw(arrays(float, (basis.size, rank),
+                         elements=st.floats(-1.0, 1.0)))
+        for _ in range(2)
+    ]
+    g = parts[0] + 1j * parts[1]
+    if data.draw(st.booleans()):
+        # below the cap the ideal gate's K_HH keeps all of the weight
+        g[np.array(basis.totals()) == cap] = 0.0
+    if mixed:
+        state = DensityOperator(basis, g @ g.conj().T)
+        weight = state.trace()
+    else:
+        state = StateVector(basis, g[:, 0])
+        weight = state.norm() ** 2
+    # run_nla applies M(phi) to a prebuilt state on the herald basis
+    for prob in (run_nla(state, phi, gate, photon_cap=cap).herald_probability,
+                 apply_herald(k[0, 0], state)[1]):
+        assert prob <= weight * (1.0 + 1e-12)
+
+
 def test_herald_probability_coherent_input_close_to_closed_form():
     # multiphoton components shift the herald at order |alpha|^4
     for phi in PHI_GRID:
@@ -214,6 +251,29 @@ def test_diagonal_input_matches_weighted_reference():
                     weights[cap] + oracles.poisson_tail(alpha**2, cap),
                     rel=1e-9,
                 )
+
+
+def test_prepared_signal_is_shared_and_bounded():
+    spec = SignalSpec("coherent", 0.03, loss=0.2)
+    state, _ = prepare_signal(spec, 4)
+    assert prepare_signal(spec, 4)[0] is state
+    assert not state.matrix.flags.writeable
+    for i in range(20):
+        prepare_signal(SignalSpec("phase_averaged", 0.01 * (i + 1)), 3)
+    info = protocol._prepare_signal.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_prepared_signal_does_not_mix_float_and_complex_amplitudes():
+    # the specs compare equal, yet complex powers round differently
+    a = 0.0307
+    direct = {t: two_mode_coherent(0.0, t(a), 4)[0].amplitudes
+              for t in (float, complex)}
+    assert not np.array_equal(direct[float], direct[complex])
+    assert SignalSpec("coherent", a) == SignalSpec("coherent", complex(a))
+    for t in (complex, float):
+        got = prepare_signal(SignalSpec("coherent", t(a)), 4)[0]
+        assert np.array_equal(got.amplitudes, direct[t])
 
 
 def test_gate_operator_is_cached():
