@@ -1,4 +1,4 @@
-"""Optical elements as mode transforms: beamsplitters, PPBS, waveplates, loss.
+"""Optical elements: PPBS mode transforms, vacuum restrictions and loss.
 
 Polarization is encoded as two modes (H, V) per spatial path.  The global
 beamsplitter convention is the rotation form
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,27 +71,10 @@ class LossSpec:
             raise ValueError(f"loss {self.l} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class WaveplateSetting:
-    kind: str  # "hwp" | "qwp"
-    angle: float  # fast-axis angle, radians
-
-    def __post_init__(self):
-        if self.kind not in ("hwp", "qwp"):
-            raise ValueError(f"unknown waveplate kind {self.kind!r}")
-
-
 def _bs_matrix(t: float) -> np.ndarray:
     ta = math.sqrt(t)
     ra = math.sqrt(1.0 - t)
     return np.array([[ta, ra], [-ra, ta]], dtype=complex)
-
-
-def beamsplitter(t: float, modes: tuple[int, int]) -> ModeTransform:
-    """Two-mode splitter with intensity transmission t (see module docstring)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmission {t} outside [0, 1]")
-    return ModeTransform(_bs_matrix(t), modes)
 
 
 def ppbs(
@@ -100,8 +84,8 @@ def ppbs(
 ) -> ModeTransform:
     """Partially polarizing splitter between two (H, V) spatial paths.
 
-    Block diagonal: beamsplitter(t_h) on the H pair, beamsplitter(t_v) on the
-    V pair.  (1, 1) is the identity.
+    Block diagonal: a splitter of transmission t_h on the H pair and one of
+    t_v on the V pair.  (1, 1) is the identity.
     """
     modes = (a[0], a[1], b[0], b[1])
     m = np.eye(4, dtype=complex)
@@ -113,21 +97,6 @@ def ppbs(
         m[j, i] = blk[1, 0]
         m[j, j] = blk[1, 1]
     return ModeTransform(m, modes)
-
-
-def hwp(angle: float, spatial: tuple[int, int]) -> ModeTransform:
-    """Half-wave plate at fast-axis angle; hwp(0) leaves |H> unchanged."""
-    c = math.cos(2.0 * angle)
-    s = math.sin(2.0 * angle)
-    return ModeTransform(np.array([[c, s], [s, -c]], dtype=complex), spatial)
-
-
-def qwp(angle: float, spatial: tuple[int, int]) -> ModeTransform:
-    """Quarter-wave plate: rotation-conjugated diag(1, i)."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    r = np.array([[c, -s], [s, c]], dtype=complex)
-    return ModeTransform(r @ np.diag([1.0, 1.0j]) @ r.T, spatial)
 
 
 def vacuum_restriction(t: ModeTransform, drop: tuple[int, ...]) -> ModeTransform:
@@ -144,55 +113,78 @@ def vacuum_restriction(t: ModeTransform, drop: tuple[int, ...]) -> ModeTransform
     return ModeTransform(sub, tuple(t.modes[i] for i in keep), kind="subunitary")
 
 
+@lru_cache(maxsize=None)
+def _loss_transfer(num_modes: int, photon_cap: int, position: int):
+    """Index arrays of loss at one tuple position of a basis shape.
+
+    A transfer term takes a basis state with n = m + k photons at the
+    position to the state with m there.  Loss moves the density-matrix entry
+    between the sources of two terms with the same k to the entry between
+    their targets.  Returns, over those pairs in order of k (so each output
+    entry sums its terms in that order): the flattened source entries, the
+    target entries as real/imaginary slots of the flattened matrix, the
+    (m, k) coefficient index of either term, and the table C(m + k, k).
+    """
+    basis = FockBasis(tuple(range(num_modes)), photon_cap)
+    size, width = basis.size, photon_cap + 1
+    pairs = []
+    for k in range(width):
+        terms = []
+        for i, occ in enumerate(basis.occupations):
+            m = occ[position] - k
+            if m >= 0:
+                out = list(occ)
+                out[position] = m
+                terms.append((i, basis.index_of(tuple(out)), m * width + k))
+        pairs.extend(
+            (s1 * size + s2, t1 * size + t2, c1, c2)
+            for s1, t1, c1 in terms
+            for s2, t2, c2 in terms
+        )
+    src, tgt, coeff_a, coeff_b = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+    slots = np.stack([2 * tgt, 2 * tgt + 1], axis=1).ravel()
+    comb = np.array(
+        [[math.comb(m + k, k) for k in range(width)] for m in range(width)], dtype=float
+    )
+    for a in (src, slots, coeff_a, coeff_b, comb):
+        a.flags.writeable = False
+    return src, slots, coeff_a, coeff_b, comb
+
+
 @dataclass(frozen=True)
 class LossChannel:
-    """Trace-preserving photon loss on one mode (splitter to a traced vacuum)."""
+    """Trace-preserving photon loss on one mode (splitter to a traced vacuum).
+
+    Loss acts on that mode's photon-number ladder alone: it maps
+    |..n..><..n'..| to sum_k sqrt(C(n, k) C(n', k)) t^((n+n')/2 - k) l^k
+    |..n-k..><..n'-k..|, with l the loss and t = 1 - l.
+    """
 
     loss: float
     mode: int
 
-    def kraus(self, basis: FockBasis) -> list[np.ndarray]:
-        """Kraus set: K_k removes k photons, sum K^dag K = identity."""
-        pos = basis.position(self.mode)
-        t = 1.0 - self.loss
-        ops = []
-        for k in range(basis.photon_cap + 1):
-            m = np.zeros((basis.size, basis.size))
-            filled = False
-            for i, occ in enumerate(basis.occupations):
-                n = occ[pos]
-                if n < k:
-                    continue
-                coeff = math.comb(n, k) * t ** (n - k) * self.loss**k
-                if coeff == 0.0:
-                    continue
-                out = list(occ)
-                out[pos] = n - k
-                m[basis.index_of(tuple(out)), i] = math.sqrt(coeff)
-                filled = True
-            if filled:
-                ops.append(m)
-        return ops
-
     def apply(self, state: State) -> DensityOperator:
-        rho = state.to_density() if isinstance(state, StateVector) else state
-        out = np.zeros_like(rho.matrix)
-        for k in self.kraus(rho.basis):
-            out = out + k @ rho.matrix @ k.T
-        return DensityOperator(rho.basis, out)
+        basis = state.basis
+        # a pure input's projector is only read here, so it is not wrapped
+        # in a DensityOperator, which would copy it
+        if isinstance(state, StateVector):
+            matrix = np.outer(state.amplitudes, state.amplitudes.conj())
+        else:
+            matrix = state.matrix
+        src, slots, coeff_a, coeff_b, comb = _loss_transfer(
+            basis.num_modes, basis.photon_cap, basis.position(self.mode)
+        )
+        t = 1.0 - self.loss
+        # sqrt(C(m + k, k) t^m l^k) at [m, k]; the powers are taken as
+        # Python scalars, so each coefficient rounds as the term-by-term
+        # formula does
+        powers = range(basis.photon_cap + 1)
+        kept = np.array([t**m for m in powers])[:, None]
+        coeff = np.sqrt(comb * kept * [self.loss**k for k in powers]).ravel()
+        moved = matrix.ravel()[src] * coeff[coeff_a] * coeff[coeff_b]
+        out = np.bincount(slots, moved.view(float), minlength=2 * basis.size**2)
+        return DensityOperator(basis, out.view(complex).reshape(basis.size, basis.size))
 
 
 def loss_channel(spec: LossSpec, mode: int) -> LossChannel:
     return LossChannel(spec.l, mode)
-
-
-def meter_waveplate_angles(phi: float) -> tuple[WaveplateSetting, WaveplateSetting]:
-    """Waveplate pair preparing (|H> + i e^{i phi} |V>)/sqrt(2) from |H>.
-
-    With the quarter-wave plate fixed at pi/4 the two output components keep
-    equal magnitude for any half-wave angle, and the relative phase closes at
-    hwp angle pi/4 + phi/4 (solution of the 2x2 composition, verified in the
-    tests up to global phase).
-    """
-    h = (math.pi / 4.0 + phi / 4.0) % math.pi
-    return WaveplateSetting("hwp", h), WaveplateSetting("qwp", math.pi / 4.0)

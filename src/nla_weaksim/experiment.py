@@ -120,8 +120,9 @@ class FringeScan:
 
 def state_size(state: State, mode: int) -> float:
     """Vacuum-relative odds P(1)/P(0) of the given mode."""
-    p0 = fock.occupancy_probability(state, mode, 0)
-    p1 = fock.occupancy_probability(state, mode, 1)
+    dist = fock.occupancy_distribution(state, mode)
+    p0 = float(dist[0])
+    p1 = float(dist[1]) if len(dist) > 1 else 0.0
     if p0 <= 0.0:
         raise ZeroDivisionError("mode has no vacuum component; odds undefined")
     return p1 / p0

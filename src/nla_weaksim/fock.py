@@ -56,6 +56,18 @@ def _basis_table(num_modes: int, photon_cap: int):
     return occs, index, totals
 
 
+@lru_cache(maxsize=None)
+def _basis_arrays(num_modes: int, photon_cap: int):
+    """Read-only photon numbers at each tuple position (one row per position)
+    and the mask of states at the cap, both in basis order."""
+    occs, _, totals = _basis_table(num_modes, photon_cap)
+    counts = np.array(occs, dtype=np.intp).reshape(len(occs), num_modes).T.copy()
+    at_cap = np.array(totals) == photon_cap
+    counts.flags.writeable = False
+    at_cap.flags.writeable = False
+    return counts, at_cap
+
+
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation basis over a fixed set of global mode indices.
@@ -95,6 +107,14 @@ class FockBasis:
     def totals(self) -> tuple[int, ...]:
         """Total photon number of each basis state, in basis order."""
         return _basis_table(self.num_modes, self.photon_cap)[2]
+
+    def counts(self, mode: int) -> np.ndarray:
+        """Photon number of one global mode in each basis state (read-only)."""
+        return _basis_arrays(self.num_modes, self.photon_cap)[0][self.position(mode)]
+
+    def at_cap(self) -> np.ndarray:
+        """Mask of the basis states whose total is the cap (read-only)."""
+        return _basis_arrays(self.num_modes, self.photon_cap)[1]
 
     def position(self, mode: int) -> int:
         """Position of a global mode index inside occupation tuples."""
@@ -152,19 +172,8 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n <= 0:
-            raise ValueError("cannot normalize a zero state")
-        return StateVector(self.basis, self.amplitudes / n)
-
     def amplitude(self, occ: Iterable[int]) -> complex:
         return complex(self.amplitudes[self.basis.index_of(occ)])
-
-    def overlap(self, other: "StateVector") -> complex:
-        if other.basis != self.basis:
-            raise ValueError("overlap requires a common basis")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def to_density(self) -> "DensityOperator":
         return DensityOperator(self.basis, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -186,20 +195,6 @@ class DensityOperator:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def normalized(self) -> "DensityOperator":
-        t = self.trace()
-        if t <= 0:
-            raise ValueError("cannot normalize a trace-zero operator")
-        return DensityOperator(self.basis, self.matrix / t)
-
-    def validate(self, atol: float = 1e-10) -> None:
-        """Raise unless Hermitian and positive within atol."""
-        if not np.allclose(self.matrix, self.matrix.conj().T, atol=atol):
-            raise ValueError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(self.matrix)
-        if eigs.min() < -atol:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
 
 
 State = Union[StateVector, DensityOperator]
@@ -317,16 +312,21 @@ def lift_mode_transform(transform: ModeTransform, basis: FockBasis) -> np.ndarra
 
 
 def tensor(
-    a: State,
-    b: State,
+    a: StateVector,
+    b: StateVector,
     photon_cap: int | None = None,
-) -> tuple[State, float]:
-    """Join states on disjoint mode sets; returns (state, discarded weight).
+) -> tuple[StateVector, float]:
+    """Join pure states on disjoint mode sets; returns (state, discarded weight).
 
     With the default cap (sum of the factor caps) nothing is discarded; a
     tighter cap drops the over-cap components and reports their probability
     weight instead of failing silently.
     """
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise TypeError(
+            f"tensor joins pure states (StateVector), got "
+            f"{type(a).__name__} and {type(b).__name__}"
+        )
     ba, bb = a.basis, b.basis
     if set(ba.modes) & set(bb.modes):
         raise ModeOverlapError(f"modes overlap: {ba.modes} vs {bb.modes}")
@@ -335,97 +335,39 @@ def tensor(
     basis = build_basis(len(modes), cap, modes=modes)
     pos_a = [modes.index(m) for m in ba.modes]
     pos_b = [modes.index(m) for m in bb.modes]
-
-    def joined(occ_a, occ_b):
-        occ = [0] * len(modes)
-        for p, n in zip(pos_a, occ_a):
-            occ[p] = n
-        for p, n in zip(pos_b, occ_b):
-            occ[p] = n
-        return tuple(occ)
-
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        amps = np.zeros(basis.size, dtype=complex)
-        discarded = 0.0
-        for i, occ_a in enumerate(ba.occupations):
-            va = a.amplitudes[i]
-            if va == 0:
-                continue
-            for j, occ_b in enumerate(bb.occupations):
-                vb = b.amplitudes[j]
-                if vb == 0:
-                    continue
-                if sum(occ_a) + sum(occ_b) <= cap:
-                    amps[basis.index_of(joined(occ_a, occ_b))] = va * vb
-                else:
-                    discarded += abs(va * vb) ** 2
-        return StateVector(basis, amps), discarded
-
-    ra = a.to_density() if isinstance(a, StateVector) else a
-    rb = b.to_density() if isinstance(b, StateVector) else b
-    keep: list[tuple[int, int, int]] = []
+    amps = np.zeros(basis.size, dtype=complex)
     discarded = 0.0
     for i, occ_a in enumerate(ba.occupations):
+        va = a.amplitudes[i]
+        if va == 0:
+            continue
         for j, occ_b in enumerate(bb.occupations):
+            vb = b.amplitudes[j]
+            if vb == 0:
+                continue
             if sum(occ_a) + sum(occ_b) <= cap:
-                keep.append((i, j, basis.index_of(joined(occ_a, occ_b))))
+                occ = [0] * len(modes)
+                for p, n in zip(pos_a, occ_a):
+                    occ[p] = n
+                for p, n in zip(pos_b, occ_b):
+                    occ[p] = n
+                amps[basis.index_of(tuple(occ))] = va * vb
             else:
-                discarded += float((ra.matrix[i, i] * rb.matrix[j, j]).real)
-    m = np.zeros((basis.size, basis.size), dtype=complex)
-    for i1, j1, k1 in keep:
-        for i2, j2, k2 in keep:
-            m[k1, k2] = ra.matrix[i1, i2] * rb.matrix[j1, j2]
-    return DensityOperator(basis, m), discarded
+                discarded += abs(va * vb) ** 2
+    return StateVector(basis, amps), discarded
 
 
-def partial_trace(state: State, trace_modes: Iterable[int]) -> DensityOperator:
-    """Trace out the given modes; always returns a density operator.
-
-    Tracing every mode leaves the zero-mode basis, i.e. a 1x1 operator whose
-    entry is the trace of the input.
-    """
-    rho = state.to_density() if isinstance(state, StateVector) else state
-    trace_modes = tuple(trace_modes)
-    sb = rho.basis
-    for m in trace_modes:
-        sb.position(m)  # raises on unknown modes
-    rest_modes = tuple(m for m in sb.modes if m not in trace_modes)
-    rest = build_basis(len(rest_modes), sb.photon_cap, modes=rest_modes)
-    tpos = [sb.position(m) for m in trace_modes]
-    rpos = [sb.position(m) for m in rest_modes]
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for jidx, occ in enumerate(sb.occupations):
-        tocc = tuple(occ[p] for p in tpos)
-        ridx = rest.index_of(tuple(occ[p] for p in rpos))
-        groups.setdefault(tocc, []).append((jidx, ridx))
-    out = np.zeros((rest.size, rest.size), dtype=complex)
-    for pairs in groups.values():
-        js = [j for j, _ in pairs]
-        rs = [r for _, r in pairs]
-        out[np.ix_(rs, rs)] += rho.matrix[np.ix_(js, js)]
-    return DensityOperator(rest, out)
+def occupancy_distribution(state: State, mode: int) -> np.ndarray:
+    """Marginal photon-number distribution of one mode (no renormalizing)."""
+    basis = state.basis
+    if isinstance(state, StateVector):
+        weights = np.abs(state.amplitudes) ** 2
+    else:
+        weights = state.matrix.diagonal().real
+    return np.bincount(basis.counts(mode), weights, minlength=basis.photon_cap + 1)
 
 
 def occupancy_probability(state: State, mode: int, n: int) -> float:
     """Probability weight of exactly n photons in one mode (no renormalizing)."""
-    pos = state.basis.position(mode)
-    if isinstance(state, StateVector):
-        weights = np.abs(state.amplitudes) ** 2
-    else:
-        weights = np.diag(state.matrix).real
-    return float(
-        sum(w for occ, w in zip(state.basis.occupations, weights) if occ[pos] == n)
-    )
-
-
-def occupancy_distribution(state: State, mode: int) -> np.ndarray:
-    """Marginal photon-number distribution of one mode."""
-    pos = state.basis.position(mode)
-    if isinstance(state, StateVector):
-        weights = np.abs(state.amplitudes) ** 2
-    else:
-        weights = np.diag(state.matrix).real
-    out = np.zeros(state.basis.photon_cap + 1)
-    for occ, w in zip(state.basis.occupations, weights):
-        out[occ[pos]] += w
-    return out
+    dist = occupancy_distribution(state, mode)
+    return float(dist[n]) if 0 <= n < len(dist) else 0.0

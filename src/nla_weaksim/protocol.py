@@ -160,14 +160,29 @@ def truncated_coherent(
 
 
 def _poisson_tail(mean: float, cap: int) -> float:
+    """Poisson weight beyond the cap.
+
+    One minus the weight up to the cap is exact only to about 1e-16, so
+    where that weight is at least a half the tail is summed term by term
+    from cap + 1 until a term no longer changes the sum.
+    """
     if mean == 0.0:
         return 0.0
     term = math.exp(-mean)
-    acc = term
+    head = term
     for n in range(1, cap + 1):
         term *= mean / n
-        acc += term
-    return max(0.0, 1.0 - acc)
+        head += term
+    if head < 0.5:
+        return 1.0 - head
+    tail = 0.0
+    n = cap + 1
+    term *= mean / n
+    while tail + term != tail:
+        tail += term
+        n += 1
+        term *= mean / n
+    return tail
 
 
 def two_mode_coherent(
@@ -383,7 +398,7 @@ def apply_herald(op: np.ndarray, state: State) -> tuple[State | None, float]:
 
 
 def _weight_at_cap(state: State) -> float:
-    at_cap = np.array(state.basis.totals()) == state.basis.photon_cap
+    at_cap = state.basis.at_cap()
     if isinstance(state, StateVector):
         return float(np.sum(np.abs(state.amplitudes[at_cap]) ** 2))
     return float(np.sum(np.diag(state.matrix).real[at_cap]))

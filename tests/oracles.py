@@ -1,16 +1,22 @@
 """Independent brute-force routes used to pin expected values in the tests.
 
-Everything here works on plain dicts mapping occupation tuples to complex
-amplitudes and deliberately avoids the package's permanent-based code paths,
-so the two implementations can be compared against each other.
+Most of what is here works on plain dicts mapping occupation tuples to
+complex amplitudes and deliberately avoids the package's permanent-based code
+paths, so the two implementations can be compared against each other.  The
+last section holds the loop-based routes that only tests need: splitters and
+waveplates as mode transforms, partial traces, a density-matrix check and
+loss as an explicit Kraus sum.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from nla_weaksim.fock import DensityOperator, ModeTransform, StateVector, build_basis
 
 
 def expand_transform(matrix, occ_in):
@@ -197,3 +203,122 @@ def run_reference(signal_amps, phi, gate, cap=3):
     else:
         evolved = transform_state(ppbs_circuit_matrix(), joint)
     return herald(evolved)
+
+
+# ---------------------------------------------------------------------------
+# Loop-based routes on the package's types, used only as test references.
+# ---------------------------------------------------------------------------
+
+def beamsplitter(t, modes):
+    """Two-mode splitter [[sqrt(t), sqrt(1-t)], [-sqrt(1-t), sqrt(t)]]."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"transmission {t} outside [0, 1]")
+    ta, ra = math.sqrt(t), math.sqrt(1.0 - t)
+    return ModeTransform(np.array([[ta, ra], [-ra, ta]], dtype=complex), modes)
+
+
+@dataclass(frozen=True)
+class WaveplateSetting:
+    kind: str  # "hwp" | "qwp"
+    angle: float  # fast-axis angle, radians
+
+    def __post_init__(self):
+        if self.kind not in ("hwp", "qwp"):
+            raise ValueError(f"unknown waveplate kind {self.kind!r}")
+
+
+def hwp(angle, spatial):
+    """Half-wave plate at fast-axis angle; hwp(0) leaves |H> unchanged."""
+    c = math.cos(2.0 * angle)
+    s = math.sin(2.0 * angle)
+    return ModeTransform(np.array([[c, s], [s, -c]], dtype=complex), spatial)
+
+
+def qwp(angle, spatial):
+    """Quarter-wave plate: rotation-conjugated diag(1, i)."""
+    c = math.cos(angle)
+    s = math.sin(angle)
+    r = np.array([[c, -s], [s, c]], dtype=complex)
+    return ModeTransform(r @ np.diag([1.0, 1.0j]) @ r.T, spatial)
+
+
+def meter_waveplate_angles(phi):
+    """Waveplate pair preparing (|H> + i e^{i phi} |V>)/sqrt(2) from |H>.
+
+    With the quarter-wave plate fixed at pi/4 the two output components keep
+    equal magnitude for any half-wave angle, and the relative phase closes at
+    hwp angle pi/4 + phi/4.
+    """
+    h = (math.pi / 4.0 + phi / 4.0) % math.pi
+    return WaveplateSetting("hwp", h), WaveplateSetting("qwp", math.pi / 4.0)
+
+
+def partial_trace(state, trace_modes):
+    """Trace out the given modes; always returns a density operator.
+
+    Tracing every mode leaves the zero-mode basis, i.e. a 1x1 operator whose
+    entry is the trace of the input.
+    """
+    rho = state.to_density() if isinstance(state, StateVector) else state
+    trace_modes = tuple(trace_modes)
+    sb = rho.basis
+    for m in trace_modes:
+        sb.position(m)  # raises on unknown modes
+    rest_modes = tuple(m for m in sb.modes if m not in trace_modes)
+    rest = build_basis(len(rest_modes), sb.photon_cap, modes=rest_modes)
+    tpos = [sb.position(m) for m in trace_modes]
+    rpos = [sb.position(m) for m in rest_modes]
+    groups: dict = {}
+    for jidx, occ in enumerate(sb.occupations):
+        tocc = tuple(occ[p] for p in tpos)
+        ridx = rest.index_of(tuple(occ[p] for p in rpos))
+        groups.setdefault(tocc, []).append((jidx, ridx))
+    out = np.zeros((rest.size, rest.size), dtype=complex)
+    for pairs in groups.values():
+        js = [j for j, _ in pairs]
+        rs = [r for _, r in pairs]
+        out[np.ix_(rs, rs)] += rho.matrix[np.ix_(js, js)]
+    return DensityOperator(rest, out)
+
+
+def validate_density(rho, atol=1e-10):
+    """Raise unless the density matrix is Hermitian and positive within atol."""
+    if not np.allclose(rho.matrix, rho.matrix.conj().T, atol=atol):
+        raise ValueError("density matrix is not Hermitian")
+    eigs = np.linalg.eigvalsh(rho.matrix)
+    if eigs.min() < -atol:
+        raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
+
+
+def loss_kraus(loss, mode, basis):
+    """Kraus set of photon loss on one mode: K_k removes k photons,
+    sum K^dag K = identity."""
+    pos = basis.position(mode)
+    t = 1.0 - loss
+    ops = []
+    for k in range(basis.photon_cap + 1):
+        m = np.zeros((basis.size, basis.size))
+        filled = False
+        for i, occ in enumerate(basis.occupations):
+            n = occ[pos]
+            if n < k:
+                continue
+            coeff = math.comb(n, k) * t ** (n - k) * loss**k
+            if coeff == 0.0:
+                continue
+            out = list(occ)
+            out[pos] = n - k
+            m[basis.index_of(tuple(out)), i] = math.sqrt(coeff)
+            filled = True
+        if filled:
+            ops.append(m)
+    return ops
+
+
+def loss_kraus_sum(loss, mode, state):
+    """Density matrix after loss as the Kraus sum sum_k K rho K^T."""
+    rho = state.to_density() if isinstance(state, StateVector) else state
+    out = np.zeros_like(rho.matrix)
+    for k in loss_kraus(loss, mode, rho.basis):
+        out = out + k @ rho.matrix @ k.T
+    return out

@@ -9,26 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from nla_weaksim import elements
 from nla_weaksim.elements import (
-    DEFAULT_LAYOUT,
     LossChannel,
     LossSpec,
+    ModeLayout,
     PPBSSpec,
-    WaveplateSetting,
-    beamsplitter,
-    hwp,
     loss_channel,
-    meter_waveplate_angles,
     ppbs,
-    qwp,
     vacuum_restriction,
 )
 from nla_weaksim.fock import (
-    ModeTransform,
+    DensityOperator,
     StateVector,
     build_basis,
     lift_mode_transform,
 )
+from oracles import WaveplateSetting, beamsplitter, hwp, meter_waveplate_angles, qwp
 
 
 def test_beamsplitter_matrix_convention():
@@ -111,7 +108,7 @@ def test_vacuum_restriction_equals_vacuum_postselection(rng):
 def test_loss_channel_kraus_completeness():
     basis = build_basis(1, 3, modes=(0,))
     ch = loss_channel(LossSpec(0.37), 0)
-    ks = ch.kraus(basis)
+    ks = oracles.loss_kraus(ch.loss, ch.mode, basis)
     total = sum(k.conj().T @ k for k in ks)
     assert np.max(np.abs(total - np.eye(basis.size))) < 1e-12
 
@@ -129,8 +126,6 @@ def test_loss_matches_ancilla_construction(rng):
     pops /= pops.sum()
     basis = build_basis(1, 3, modes=(0,))
     rho_in = np.diag(pops).astype(complex)
-    from nla_weaksim.fock import DensityOperator
-
     out = LossChannel(0.23, 0).apply(DensityOperator(basis, rho_in))
     expect = oracles.loss_via_ancilla(list(pops), 0.23, 3)
     assert np.allclose(np.diag(out.matrix).real, expect, atol=1e-12)
@@ -158,6 +153,72 @@ def test_loss_composition_law(l1, l2):
     combined = 1.0 - (1.0 - l1) * (1.0 - l2)
     once = LossChannel(combined, 0).apply(state)
     assert np.max(np.abs(once.matrix - oracles.loss_output(amps, 1.0 - combined))) < 1e-12
+
+
+# (basis modes, lossy mode): one mode, and two modes with either one lossy
+LADDERS = [((0,), 0), ((0, 1), 0), ((0, 1), 1)]
+LOSSES = [0.0, 1e-300, 0.3, 0.9999999999999999, 1.0]
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("modes, lossy", LADDERS)
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_ladder_loss_matches_independent_routes(cap, modes, lossy, loss):
+    """The cached ladder transfer against the Kraus sum on pure and mixed
+    inputs (full coherences, H-V ones included), against the closed form
+    on one mode, and against the vacuum-ancilla construction on diagonal
+    inputs, ladder by ladder of the other mode's occupation."""
+    basis = build_basis(len(modes), cap, modes=modes)
+    rng = np.random.default_rng(cap)
+    vecs = []
+    for _ in range(3):
+        v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+        vecs.append(v / np.linalg.norm(v))
+    weights = [0.5, 0.3, 0.2]
+    pure = StateVector(basis, vecs[0])
+    mixed = DensityOperator(
+        basis, sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+    )
+    channel = LossChannel(loss, lossy)
+    for state in (pure, mixed):
+        out = channel.apply(state)
+        assert out.basis == basis
+        want = oracles.loss_kraus_sum(loss, lossy, state)
+        assert np.max(np.abs(out.matrix - want)) < 1e-14
+        assert out.trace() == pytest.approx(1.0, abs=1e-14)
+    if len(modes) == 1:
+        t = 1.0 - loss
+        got = channel.apply(pure).matrix
+        assert np.max(np.abs(got - oracles.loss_output(vecs[0], t))) < 1e-14
+        want = sum(w * oracles.loss_output(v, t) for w, v in zip(weights, vecs))
+        assert np.max(np.abs(channel.apply(mixed).matrix - want)) < 1e-14
+    pops = rng.random(basis.size)
+    out = channel.apply(DensityOperator(basis, np.diag(pops / pops.sum())))
+    pos = basis.position(lossy)
+    for rest in range(cap + 1 if len(modes) == 2 else 1):
+        ladder = []
+        for n in range(cap - rest + 1):
+            occ = [rest] * len(modes)
+            occ[pos] = n
+            ladder.append(basis.index_of(tuple(occ)))
+        expect = oracles.loss_via_ancilla(
+            [pops[i] / pops.sum() for i in ladder], loss, cap - rest
+        )
+        got = np.diag(out.matrix).real[ladder]
+        assert np.max(np.abs(got - expect)) < 1e-14
+
+
+def test_loss_transfer_is_cached_per_shape_not_per_layout():
+    """Layouts with the lossy mode at the same tuple position share one
+    cache entry, so drawing new layouts does not grow the cache."""
+    elements._loss_transfer.cache_clear()
+    for layout in (ModeLayout(), ModeLayout(5, 12, 0, 3)):
+        basis = build_basis(2, 3, modes=tuple(sorted(layout.signal)))
+        amps = np.zeros(basis.size, dtype=complex)
+        amps[0] = amps[-1] = math.sqrt(0.5)
+        LossChannel(0.3, layout.signal_v).apply(StateVector(basis, amps))
+    info = elements._loss_transfer.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_loss_spec_validation():

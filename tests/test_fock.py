@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import oracles
 from nla_weaksim import fock
-from nla_weaksim.elements import beamsplitter
 from nla_weaksim.fock import (
     BasisSizeError,
     DensityOperator,
@@ -22,10 +21,10 @@ from nla_weaksim.fock import (
     lift_mode_transform,
     occupancy_distribution,
     occupancy_probability,
-    partial_trace,
     permanent,
     tensor,
 )
+from oracles import beamsplitter, partial_trace
 
 
 def test_basis_sizes():
@@ -201,6 +200,14 @@ def test_tensor_rejects_shared_modes():
         tensor(a, b)
 
 
+def test_tensor_takes_pure_states_only():
+    a = _coherent_vector(0.3, 2, 0)
+    b = _coherent_vector(0.2, 2, 1)
+    for x, y in ((a.to_density(), b), (a, b.to_density())):
+        with pytest.raises(TypeError, match="pure states"):
+            tensor(x, y)
+
+
 def test_partial_trace_of_product_state():
     a = _coherent_vector(0.3, 2, 0)
     b = _coherent_vector(0.2, 2, 1)
@@ -225,6 +232,44 @@ def test_occupancy_probability_and_distribution():
     )
 
 
+@pytest.mark.parametrize("num_modes, cap", [(1, 3), (2, 4), (3, 3)])
+def test_occupancy_distribution_matches_loop_sum(rng, num_modes, cap):
+    """The cached-count marginal adds the same weights in the same order as
+    a loop over occupation tuples, so it agrees exactly."""
+    modes = tuple(range(2, 2 + num_modes))
+    basis = build_basis(num_modes, cap, modes=modes)
+    v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    w = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
+    pure = StateVector(basis, v)
+    mixed = DensityOperator(basis, np.outer(v, v.conj()) + np.outer(w, w.conj()))
+    for state in (pure, mixed):
+        if isinstance(state, StateVector):
+            weights = np.abs(state.amplitudes) ** 2
+        else:
+            weights = np.diag(state.matrix).real
+        for mode in modes:
+            pos = basis.position(mode)
+            loop = [
+                sum(x for occ, x in zip(basis.occupations, weights) if occ[pos] == n)
+                for n in range(cap + 1)
+            ]
+            assert occupancy_distribution(state, mode).tolist() == loop
+            for n in range(-1, cap + 2):
+                want = loop[n] if 0 <= n <= cap else 0.0
+                assert occupancy_probability(state, mode, n) == want
+
+
+def test_basis_arrays_are_cached_per_shape():
+    """Per-shape count arrays are keyed by shape, not by mode labels."""
+    build_basis(2, 4, modes=(0, 1)).counts(1)
+    before = fock._basis_arrays.cache_info().currsize
+    b = build_basis(2, 4, modes=(7, 11))
+    assert b.counts(11).tolist() == [occ[1] for occ in b.occupations]
+    assert b.at_cap().tolist() == [sum(occ) == 4 for occ in b.occupations]
+    assert fock._basis_arrays.cache_info().currsize == before
+    assert not b.counts(7).flags.writeable and not b.at_cap().flags.writeable
+
+
 def test_density_operator_path():
     a = _coherent_vector(0.2, 2, 0)
     b = _coherent_vector(0.1, 2, 1)
@@ -234,7 +279,7 @@ def test_density_operator_path():
     lifted = lift_mode_transform(beamsplitter(0.5, (0, 1)), rho.basis)
     moved = DensityOperator(rho.basis, lifted @ rho.matrix @ lifted.conj().T)
     assert moved.trace() == pytest.approx(rho.trace(), rel=1e-12)
-    rho.validate()
+    oracles.validate_density(rho)
 
 
 @st.composite

@@ -44,6 +44,25 @@ def test_truncated_coherent_amplitudes_and_tail():
     assert tail3 == pytest.approx(2.544115e-06, rel=1e-5)
 
 
+@pytest.mark.parametrize("mean", [1e-4, 5e-4, 1e-3, 1e-2, 0.1])
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_poisson_tail_is_summed_not_cancelled(mean, cap):
+    """A tail far below 1e-16 keeps its digits: one minus the head sum
+    would cancel to 0 or to rounding noise."""
+    alpha = math.sqrt(mean)
+    want = oracles.poisson_tail(abs(alpha) ** 2, cap)
+    _, tail = truncated_coherent(alpha, cap, mode=0)
+    _, tail_mixed = phase_averaged_state(alpha, cap)
+    assert tail == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert tail_mixed == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_poisson_tail_of_a_large_mean():
+    # most of the weight is beyond the cap, where one minus the head is exact
+    _, tail = phase_averaged_state(3.0, 2)
+    assert tail == pytest.approx(oracles.poisson_tail(9.0, 2), rel=1e-12, abs=0.0)
+
+
 def test_truncated_coherent_rejects_large_tail():
     with pytest.raises(TruncationError):
         truncated_coherent(1.5, 3, mode=0, truncation_bound=1e-3)

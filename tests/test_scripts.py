@@ -1,0 +1,32 @@
+"""The scripts/ programs run end to end and reproduce their files byte for byte."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("script", ["gain_curves.py", "fringe_scans.py"])
+def test_script_reruns_are_byte_identical(tmp_path, script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    outputs = []
+    for run in ("first", "second"):
+        outdir = tmp_path / run
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), "--outdir", str(outdir)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    first, second = outputs
+    assert first, f"{script} wrote no files"
+    assert sorted(first) == sorted(second)
+    for name in first:
+        assert first[name] == second[name], name
