@@ -7,7 +7,8 @@ Subcommands:
   visibility   fringe scans of the heralded state against analysis phase
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(unbounded gain at phi = 0, vanished herald, count overflow).
+(unbounded gain at phi = 0, vanished herald, count overflow, a fringe scan
+with too few counts to fit).
 
 Environment: NLA_WEAKSIM_OUTDIR prefixes relative --output paths;
 NLA_WEAKSIM_MAX_BASIS caps the truncated basis size.
@@ -348,11 +349,17 @@ def cmd_visibility(ns: argparse.Namespace) -> int:
     rows = []
     scans = []
     for k, g2 in enumerate(gains):
-        scan = visibility_experiment(
-            g2, input_mag=ns.alpha, phase_points=ns.points, gate=ns.gate,
-            bias_ratio=ns.bias, counting=counting, photon_cap=ns.cap,
-            stream=k,
-        )
+        try:
+            scan = visibility_experiment(
+                g2, input_mag=ns.alpha, phase_points=ns.points, gate=ns.gate,
+                bias_ratio=ns.bias, counting=counting, photon_cap=ns.cap,
+                stream=k,
+            )
+        except ZeroDivisionError as exc:
+            if counting is None:
+                raise
+            raise NumericalFailure(f"{exc} at gain {g2:g}: too few counts to "
+                                   "fit; raise --shots or --rate-scale") from exc
         rows.append([
             g2, scan.bias_ratio, scan.fit.visibility, scan.fit.uncertainty,
             scan.classical_bound, scan.fit.amplitude, scan.fit.offset,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fock, protocol
 from .elements import DEFAULT_LAYOUT, ModeLayout
-from .fock import State, StateVector
+from .fock import State
 from .protocol import (
     GateKind,
     MeterSetting,
@@ -143,9 +143,9 @@ def measure_input_size(
     postselected gate, 1 for the ideal one).
     """
     sig_state, _ = protocol.prepare_signal(signal, photon_cap, layout=layout)
-    _, blocks = protocol.herald_operators(gate, photon_cap, layout)
+    _, k_hh, _ = protocol.herald_operators(gate, photon_cap, layout)
     # meter H in, herald H out
-    cond, _ = protocol.apply_herald(blocks[0, 0], sig_state)
+    cond, _ = protocol.apply_herald(k_hh, sig_state)
     if cond is None:
         raise ZeroDivisionError("no transmitted population; cannot size the input")
     return state_size(cond, layout.signal_v)
@@ -225,7 +225,6 @@ GAIN_SWEEP_COLUMNS = [
 
 def _sweep_point(
     phi: float,
-    nominal_g2: float,
     size: float,
     gate: GateKind,
     herald: Optional[HeraldingModel],
@@ -234,12 +233,13 @@ def _sweep_point(
     convention: MeasurementConvention,
     stream: int,
 ) -> list[object]:
+    """Row entries after the leading (nominal_g2, phi) pair of one point."""
     alpha = math.sqrt(size)
     spec = SignalSpec("coherent", alpha)
     out = protocol.run_nla(spec, MeterSetting(phi), gate, photon_cap=photon_cap)
     flag = ""
     if out.conditional_state is None:
-        return [nominal_g2, phi, size, math.nan, math.nan, math.nan,
+        return [size, math.nan, math.nan, math.nan,
                 out.herald_probability, out.truncation_weight,
                 0, 0, 0, 0, math.nan, math.nan, "zero_herald"]
     input_true = true_input_size(spec, photon_cap=photon_cap)
@@ -254,7 +254,7 @@ def _sweep_point(
     output_model = herald.apply(output_ideal) if herald is not None \
         else output_ideal
     row: list[object] = [
-        nominal_g2, phi, input_true, input_measured, output_ideal, output_model,
+        input_true, input_measured, output_ideal, output_model,
         out.herald_probability, out.truncation_weight,
     ]
     if counting is not None and counting.enabled:
@@ -294,8 +294,8 @@ def gain_sweep(
     """
     phi = phi_for_gain(nominal_g2)
     rows = [
-        _sweep_point(phi, nominal_g2, s, gate, herald, counting, photon_cap,
-                     convention, stream_offset + i)
+        [nominal_g2, phi] + _sweep_point(phi, s, gate, herald, counting,
+                                         photon_cap, convention, stream_offset + i)
         for i, s in enumerate(input_sizes)
     ]
     return SweepResult(
@@ -314,7 +314,7 @@ def gain_sweep(
     )
 
 
-GAIN_VS_PHI_COLUMNS = ["phi"] + GAIN_SWEEP_COLUMNS[:1] + GAIN_SWEEP_COLUMNS[2:]
+GAIN_VS_PHI_COLUMNS = ["phi", "nominal_g2"] + GAIN_SWEEP_COLUMNS[2:]
 
 
 def gain_vs_phi(
@@ -332,10 +332,9 @@ def gain_vs_phi(
     stream = 0
     for size in input_sizes:
         for phi in phi_grid:
-            g2 = analytic(phi, 0.0).g2
-            point = _sweep_point(phi, g2, size, gate, herald, counting,
-                                 photon_cap, convention, stream)
-            rows.append([point[1]] + [point[0]] + point[2:])
+            rows.append([phi, analytic(phi, 0.0).g2] + _sweep_point(
+                phi, size, gate, herald, counting, photon_cap, convention, stream
+            ))
             stream += 1
     return SweepResult(
         kind="gain_vs_phi",
@@ -373,27 +372,6 @@ def classical_visibility_bound(nominal_g2: float) -> float:
     return 1.0 / math.sqrt(nominal_g2)
 
 
-def _fringe_rate(cond: State, layout: ModeLayout, theta: float) -> float:
-    """Detection rate after interfering the signal H and V one-photon
-    amplitudes with an analysis phase theta."""
-    basis = cond.basis
-    h_occ = [0] * basis.num_modes
-    h_occ[basis.position(layout.signal_h)] = 1
-    v_occ = [0] * basis.num_modes
-    v_occ[basis.position(layout.signal_v)] = 1
-    ih = basis.index_of(tuple(h_occ))
-    iv = basis.index_of(tuple(v_occ))
-    if isinstance(cond, StateVector):
-        c10 = cond.amplitudes[ih]
-        c01 = cond.amplitudes[iv]
-        return abs(c10 + np.exp(-1.0j * theta) * c01) ** 2 / 2.0
-    m = cond.matrix
-    return float(
-        (m[ih, ih] + m[iv, iv]).real / 2.0
-        + (np.exp(-1.0j * theta) * m[ih, iv]).real
-    )
-
-
 def _fit_fringe(
     thetas: np.ndarray, values: np.ndarray, sigmas: Optional[np.ndarray]
 ) -> VisibilityFit:
@@ -411,13 +389,15 @@ def _fit_fringe(
     wv = values * w
     params, *_ = np.linalg.lstsq(wd, wv, rcond=None)
     a, b, c = params
+    if not c > 0:
+        raise ZeroDivisionError(f"fringe fit offset {c:.3e} is not positive")
     amp = math.hypot(a, b)
-    vis = amp / c if c > 0 else math.nan
+    vis = amp / c
     if sigmas is None:
         unc = 0.0
     else:
         cov = np.linalg.inv(wd.T @ wd)
-        if amp > 0 and c > 0:
+        if amp > 0:
             grad = np.array([a / (amp * c), b / (amp * c), -amp / c**2])
             unc = float(math.sqrt(grad @ cov @ grad))
         else:
@@ -445,7 +425,9 @@ def visibility_experiment(
     pre-compensates the amplification so the output interferes at full
     contrast).  Rates at `phase_points` analysis phases are fit to a
     sinusoid; visibility above classical_visibility_bound(nominal_g2)
-    certifies phase preservation beyond any classical amplifier.
+    certifies phase preservation beyond any classical amplifier.  A fit
+    whose offset is not positive, as from a counted scan that drew no
+    counts, raises ZeroDivisionError.
     """
     if bias_ratio is None:
         bias_ratio = nominal_g2
@@ -461,8 +443,15 @@ def visibility_experiment(
     if out.conditional_state is None:
         raise ZeroDivisionError("herald probability vanished in fringe scan")
     thetas = np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False)
+    # the heralded state of a pure input is pure; its H and V one-photon
+    # amplitudes interfere at phase theta, in scalar steps that round as before
+    cond = out.conditional_state
+    c10, c01 = (
+        cond.amplitudes[cond.basis.index_of(int(m == mode) for m in cond.basis.modes)]
+        for mode in layout.signal
+    )
     rates = np.array(
-        [_fringe_rate(out.conditional_state, layout, t) for t in thetas]
+        [abs(c10 + np.exp(-1.0j * t) * c01) ** 2 / 2.0 for t in thetas]
     )
     counts_list: Optional[list[int]] = None
     errors_list: Optional[list[float]] = None

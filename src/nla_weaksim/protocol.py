@@ -10,12 +10,14 @@ gate rescales the gain to |g|^2 / 3 and succeeds with probability 1/9 on
 two-photon inputs.
 
 Gates are either 'ideal' (diagonal sign flip) or 'ppbs' (the postselected
-circuit, built from elements and lifted through permanents).  Every herald
-goes through one route: the lifted gate U is cut, once per (gate, cap,
-layout), into four signal-space blocks K[a, b] = <a| U |b> between one meter
-photon in a and one in b (a, b in H, V).  A run at meter phase phi then
-applies M(phi) = (K_HH + i K_VH)/2 + i e^{i phi} (K_HV + i K_VV)/2 to the
-signal as M psi or M rho M^dag; the through-gate input size uses K_HH.
+circuit, built from elements and lifted through permanents).  Every element
+keeps polarization and the herald keeps one meter photon, so between one
+meter photon in and one out the gate conserves the signal occupation
+(n_H, n_V): the lifted gate U is cut, once per (gate, cap, layout), into two
+diagonals K_HH and K_VV on the signal basis, with K_a = <a| U |a> for one
+meter photon in a (a in H, V).  A run at meter phase phi then applies
+M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal elementwise, as M psi or
+M_i rho_ij conj(M_j); the through-gate input size uses K_HH.
 """
 
 from __future__ import annotations
@@ -60,6 +62,9 @@ DEFAULT_PHOTON_CAP = 3
 ZERO_PROBABILITY = 1e-30
 
 _PHASE_TOL = 1e-12
+
+# largest herald entry off the two meter diagonals a gate may leave
+_DIAGONAL_TOL = 1e-12
 
 
 class InfiniteGainError(ArithmeticError):
@@ -214,12 +219,8 @@ def qubit_truncated_state(
     basis = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
     pref = math.exp(-abs(alpha) ** 2 / 2.0)
     amps = np.zeros(basis.size, dtype=complex)
-    vpos = basis.position(layout.signal_v)
-    zero = [0, 0]
-    one = [0, 0]
-    one[vpos] = 1
-    amps[basis.index_of(tuple(zero))] = pref
-    amps[basis.index_of(tuple(one))] = pref * alpha
+    amps[basis.index_of((0, 0))] = pref
+    amps[basis.index_of(int(m == layout.signal_v) for m in basis.modes)] = pref * alpha
     return StateVector(basis, amps)
 
 
@@ -235,15 +236,13 @@ def phase_averaged_state(
     beyond the cap is returned as the truncation tail.
     """
     basis = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
-    vpos = basis.position(layout.signal_v)
     mean = abs(alpha) ** 2
-    m = np.zeros((basis.size, basis.size), dtype=complex)
-    for n in range(photon_cap + 1):
-        occ = [0, 0]
-        occ[vpos] = n
-        m[basis.index_of(tuple(occ)), basis.index_of(tuple(occ))] = (
-            math.exp(-mean) * mean**n / math.factorial(n)
-        )
+    weights = np.array([
+        math.exp(-mean) * mean**n / math.factorial(n) for n in range(photon_cap + 1)
+    ])
+    diag = np.where(basis.counts(layout.signal_h) == 0,
+                    weights[basis.counts(layout.signal_v)], 0.0)
+    m = np.diag(diag.astype(complex))
     return DensityOperator(basis, m), _poisson_tail(mean, photon_cap)
 
 
@@ -342,14 +341,16 @@ def _prepare_signal(
 @lru_cache(maxsize=None)
 def herald_operators(
     gate: GateKind, photon_cap: int, layout: ModeLayout
-) -> tuple[FockBasis, np.ndarray]:
-    """Meter-conditioned blocks of the lifted gate on the signal modes.
+) -> tuple[FockBasis, np.ndarray, np.ndarray]:
+    """Meter-conditioned diagonals of the lifted gate on the signal modes.
 
-    Returns the two-signal-mode basis at the cap and a read-only array whose
-    block [a, b] is <one meter photon in a| U |one meter photon in b>, with
-    index 0 for H and 1 for V.  Gate outputs with no meter photon or two of
-    them are absent, so they never herald.  Columns of signal states at the
-    cap are zero: the meter photon would push them over it.
+    Returns the two-signal-mode basis at the cap and read-only vectors K_HH
+    and K_VV, where K_a holds <one meter photon in a| U |one in a> for each
+    signal occupation.  Gate outputs with no meter photon or two of them
+    never herald.  Entries of signal states at the cap are zero: the meter
+    photon would push them over it.  Every other entry of the meter blocks
+    (the H-V blocks and the off-diagonal entries) must stay below 1e-12,
+    else a ValueError names the gate and the largest one.
     """
     if photon_cap < 2:
         raise ValueError(
@@ -358,43 +359,44 @@ def herald_operators(
     joint = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
     signal = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
     spos = [joint.position(m) for m in signal.modes]
-    inside = [i for i, n in enumerate(signal.totals()) if n < photon_cap]
-    joint_index = []
+    inside = np.flatnonzero(~signal.at_cap())
+    cut = []
     for meter_mode in layout.meter:
-        rows = []
         for i in inside:
             occ = [0] * joint.num_modes
             for p, n in zip(spos, signal.occupations[i]):
                 occ[p] = n
             occ[joint.position(meter_mode)] = 1
-            rows.append(joint.index_of(tuple(occ)))
-        joint_index.append(rows)
-    u = gate_operator(gate, photon_cap, layout=layout)
-    blocks = np.zeros((2, 2, signal.size, signal.size), dtype=complex)
-    for a in range(2):
-        for b in range(2):
-            blocks[a, b][np.ix_(inside, inside)] = u[
-                np.ix_(joint_index[a], joint_index[b])
-            ]
-    blocks.flags.writeable = False
-    return signal, blocks
+            cut.append(joint.index_of(tuple(occ)))
+    u = gate_operator(gate, photon_cap, layout=layout)[np.ix_(cut, cut)]
+    k = np.zeros((2, signal.size), dtype=complex)
+    k[:, inside] = u.diagonal().reshape(2, -1)
+    np.fill_diagonal(u, 0.0)
+    stray = float(np.max(np.abs(u)))
+    if not stray <= _DIAGONAL_TOL:
+        raise ValueError(
+            f"gate {gate!r} does not keep the signal occupation and the meter "
+            f"polarization: herald entry {stray:.3e} off the diagonal"
+        )
+    k.flags.writeable = False
+    return signal, k[0], k[1]
 
 
-def apply_herald(op: np.ndarray, state: State) -> tuple[State | None, float]:
-    """Conditional state op|psi> or op rho op^dag, renormalized, and its
-    probability.  The state is None when the probability vanishes or is not
-    a number."""
+def apply_herald(m: np.ndarray, state: State) -> tuple[State | None, float]:
+    """Conditional state of the diagonal herald m, renormalized, and its
+    probability: m_i psi_i or m_i rho_ij conj(m_j).  The state is None when
+    the probability vanishes or is not a number."""
     if isinstance(state, StateVector):
-        c = op @ state.amplitudes
+        c = m * state.amplitudes
         prob = float(np.vdot(c, c).real)
         if not prob > ZERO_PROBABILITY:
             return None, prob
         return StateVector(state.basis, c / math.sqrt(prob)), prob
-    m = op @ state.matrix @ op.conj().T
-    prob = float(np.trace(m).real)
+    rho = m[:, None] * state.matrix * m.conj()[None, :]
+    prob = float(np.trace(rho).real)
     if not prob > ZERO_PROBABILITY:
         return None, prob
-    return DensityOperator(state.basis, m / prob), prob
+    return DensityOperator(state.basis, rho / prob), prob
 
 
 def _weight_at_cap(state: State) -> float:
@@ -414,15 +416,16 @@ def run_nla(
 ) -> ProtocolOutcome:
     """One heralded amplifier run.
 
-    Applies the heralded map M(phi) of the gate's meter blocks to the signal.
-    A prebuilt signal state must live on the two signal modes at the cap.
-    Returns the conditional signal state, the herald probability, the
-    conditional one-photon probability of the signal V mode and the
-    truncation weight: the prepared tail beyond the cap plus the signal
-    weight at the cap, which has no room for the meter photon.
+    Applies M(phi) = (K_HH - e^{i phi} K_VV)/2 of the gate's meter
+    diagonals to the signal.  A prebuilt signal state must live on the two
+    signal modes at the cap.  Returns the conditional signal state, the
+    herald probability, the conditional one-photon probability of the
+    signal V mode and the truncation weight: the prepared tail beyond the
+    cap plus the signal weight at the cap, which has no room for the meter
+    photon.
     """
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
-    basis, k = herald_operators(gate, photon_cap, layout)
+    basis, k_hh, k_vv = herald_operators(gate, photon_cap, layout)
     if isinstance(signal, (StateVector, DensityOperator)):
         if signal.basis != basis:
             raise ValueError(
@@ -436,8 +439,7 @@ def run_nla(
         spec = signal
         sig_state, tail = prepare_signal(spec, photon_cap, layout=layout)
     # meter (|H> + i e^{i phi} |V>)/sqrt(2) in, herald (|H> - i|V>)/sqrt(2)
-    heralded = (k[0, 0] + 1j * k[1, 0]) / 2.0 \
-        + 1j * cmath.exp(1.0j * phi) * (k[0, 1] + 1j * k[1, 1]) / 2.0
+    heralded = (k_hh - cmath.exp(1.0j * phi) * k_vv) / 2.0
     truncation = tail + _weight_at_cap(sig_state)
     cond, prob = apply_herald(heralded, sig_state)
     if cond is None:
@@ -446,11 +448,8 @@ def run_nla(
     amp_gain = None
     if isinstance(cond, StateVector) and spec is not None and spec.alpha != 0:
         b = cond.basis
-        vac = [0] * b.num_modes
-        one = [0] * b.num_modes
-        one[b.position(layout.signal_v)] = 1
-        c0 = cond.amplitudes[b.index_of(tuple(vac))]
-        c1 = cond.amplitudes[b.index_of(tuple(one))]
+        c0 = cond.amplitudes[b.index_of((0,) * b.num_modes)]
+        c1 = cond.amplitudes[b.index_of(int(m == layout.signal_v) for m in b.modes)]
         if abs(c0) > 0:
             amp_gain = complex(c1 / (c0 * spec.alpha))
     return ProtocolOutcome(cond, prob, p1, truncation, amp_gain)

@@ -157,6 +157,33 @@ def ppbs_circuit_matrix():
     return m
 
 
+def herald_diagonals(gate, cap):
+    """Closed-form K_HH and K_VV of a gate on the signal basis at the cap.
+
+    Entries follow build_basis(2, cap), whose occupations are (n_H, n_V)
+    for signal H below signal V.  Postselected gate, tau^2 = 1/3 and
+    rho^2 = 2/3: K_HH = 3^{-(1 + n_H + n_V)/2} and
+    K_VV = 3^{-n_H/2} tau^{n_V - 1} (tau^2 - n_V rho^2).  Ideal gate:
+    K_HH = 1 and K_VV = 1 - 2 [n_V = 1].  States at the cap have no room for
+    the meter photon, so both are 0 there.
+    """
+    tau, rho2 = math.sqrt(1.0 / 3.0), 2.0 / 3.0
+    k_hh, k_vv = [], []
+    for n_h, n_v in build_basis(2, cap).occupations:
+        if n_h + n_v == cap:
+            hh = vv = 0.0
+        elif gate == "ppbs":
+            hh = 3.0 ** (-(1 + n_h + n_v) / 2)
+            vv = 3.0 ** (-n_h / 2) * tau ** (n_v - 1) * (tau**2 - n_v * rho2)
+        elif gate == "ideal":
+            hh, vv = 1.0, (-1.0 if n_v == 1 else 1.0)
+        else:
+            raise ValueError(f"unknown gate {gate!r}")
+        k_hh.append(hh)
+        k_vv.append(vv)
+    return np.array(k_hh, dtype=complex), np.array(k_vv, dtype=complex)
+
+
 def apply_ideal_cz(state):
     """Sign flip on components with one s_V photon and meter exactly (0,1)."""
     return {

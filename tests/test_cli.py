@@ -329,3 +329,12 @@ def test_vanished_herald_exits_numerical_with_shots(args, monkeypatch):
     monkeypatch.setattr(protocol, "run_nla", vanished)
     assert main(args) == 3
     assert main(args + ["--shots", "1000", "--seed", "1"]) == 3
+
+
+def test_visibility_without_counts_exits_numerical(capsys):
+    args = ["visibility", "--gains", "2", "--shots", "1000", "--seed", "1",
+            "--format", "csv"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--shots" in captured.err and "--rate-scale" in captured.err

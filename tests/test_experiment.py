@@ -192,6 +192,13 @@ def test_visibility_rejects_negative_bias():
         pytest.approx(0.0, abs=1e-12)
 
 
+def test_visibility_without_counts_raises():
+    # 1000 shots at unit rate scale draw no count at all: the fit offset is 0
+    counting = CountingModel(shots=1000, seed=1)
+    with pytest.raises(ZeroDivisionError, match="offset"):
+        visibility_experiment(2.0, counting=counting)
+
+
 def test_visibility_bound_rejects_attenuation():
     with pytest.raises(ValueError):
         classical_visibility_bound(0.5)

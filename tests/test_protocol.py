@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from nla_weaksim import fock, protocol
-from nla_weaksim.elements import DEFAULT_LAYOUT
+from nla_weaksim.elements import DEFAULT_LAYOUT, ModeLayout
 from nla_weaksim.fock import DensityOperator, StateVector, TruncationError, build_basis
 from nla_weaksim.protocol import (
     InfiniteGainError,
@@ -158,7 +158,7 @@ def test_herald_probability_never_exceeds_input_trace(gate, cap, phi, mixed,
                                                       data):
     # M(phi) and K_HH are blocks of the lifted gate, a contraction, between
     # unit meter states, so no herald keeps more than the input weight
-    basis, k = herald_operators(gate, cap, DEFAULT_LAYOUT)
+    basis, k_hh, _ = herald_operators(gate, cap, DEFAULT_LAYOUT)
     rank = data.draw(st.integers(1, basis.size)) if mixed else 1
     parts = [
         data.draw(arrays(float, (basis.size, rank),
@@ -177,7 +177,7 @@ def test_herald_probability_never_exceeds_input_trace(gate, cap, phi, mixed,
         weight = state.norm() ** 2
     # run_nla applies M(phi) to a prebuilt state on the herald basis
     for prob in (run_nla(state, phi, gate, photon_cap=cap).herald_probability,
-                 apply_herald(k[0, 0], state)[1]):
+                 apply_herald(k_hh, state)[1]):
         assert prob <= weight * (1.0 + 1e-12)
 
 
@@ -303,20 +303,81 @@ def test_gate_operator_is_cached():
 
 
 def test_herald_operators_cut_the_lifted_gate():
-    basis, k = herald_operators("ideal", 3, DEFAULT_LAYOUT)
-    assert herald_operators("ideal", 3, DEFAULT_LAYOUT)[1] is k
-    assert not k.flags.writeable
+    basis, k_hh, k_vv = herald_operators("ideal", 3, DEFAULT_LAYOUT)
+    again = herald_operators("ideal", 3, DEFAULT_LAYOUT)
+    assert again[1] is k_hh and again[2] is k_vv
+    for k in (k_hh, k_vv):
+        assert k.shape == (basis.size,)
+        assert not k.flags.writeable
     assert basis == build_basis(2, 3, modes=tuple(sorted(DEFAULT_LAYOUT.signal)))
     at_cap = [i for i, n in enumerate(basis.totals()) if n == 3]
-    assert not np.any(k[:, :, :, at_cap])
-    # the ideal gate keeps the meter photon, so the two analysis outcomes
-    # together keep the norm of any signal below the cap
+    assert not np.any(k_hh[at_cap]) and not np.any(k_vv[at_cap])
+    # the ideal gate keeps the meter photon and its polarization, so the
+    # analysis outcome of either meter input keeps the norm of any signal
+    # below the cap
     rng = np.random.default_rng(5)
     amps = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     amps[at_cap] = 0.0
-    for b in range(2):
-        kept = sum(np.linalg.norm(k[a, b] @ amps) ** 2 for a in range(2))
+    for k in (k_hh, k_vv):
+        kept = np.linalg.norm(k * amps) ** 2
         assert kept == pytest.approx(np.linalg.norm(amps) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("gate", ["ppbs", "ideal"])
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_herald_diagonals_match_closed_form(gate, cap):
+    basis, k_hh, k_vv = herald_operators(gate, cap, DEFAULT_LAYOUT)
+    assert basis.modes == DEFAULT_LAYOUT.signal
+    want_hh, want_vv = oracles.herald_diagonals(gate, cap)
+    assert np.max(np.abs(k_hh - want_hh)) < 1e-12
+    assert np.max(np.abs(k_vv - want_vv)) < 1e-12
+
+
+@pytest.mark.parametrize("gate", ["ppbs", "ideal"])
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_herald_diagonals_are_the_lifted_gate_meter_blocks(gate, cap):
+    # cut all four meter blocks <one meter photon in a| U |one in b> out of
+    # the lifted gate: the H-V blocks vanish and the others are diagonal
+    lay = DEFAULT_LAYOUT
+    basis, k_hh, k_vv = herald_operators(gate, cap, lay)
+    joint = build_basis(4, cap)
+    u = gate_operator(gate, cap)
+    inside = [i for i, n in enumerate(basis.totals()) if n < cap]
+
+    def column(i, meter_mode):
+        occ = [0, 0, 0, 0]
+        occ[lay.signal_h], occ[lay.signal_v] = basis.occupations[i]
+        occ[meter_mode] = 1
+        return joint.index_of(tuple(occ))
+
+    diagonals = {lay.meter_h: k_hh, lay.meter_v: k_vv}
+    for a in lay.meter:
+        for b in lay.meter:
+            block = u[np.ix_([column(i, a) for i in inside],
+                             [column(i, b) for i in inside])]
+            want = np.diag(diagonals[a][inside]) if a == b else 0.0
+            assert np.max(np.abs(block - want)) < 1e-12
+
+
+def test_herald_operators_reject_a_gate_that_mixes_polarization(monkeypatch):
+    # a half-wave plate on the signal after the gate turns n_H into n_V, so
+    # the meter blocks are no longer diagonal
+    lay = DEFAULT_LAYOUT
+    mixing = fock.compose_transforms(
+        ppbs_cz_circuit(lay) + [oracles.hwp(math.pi / 8, lay.signal)]
+    )
+
+    def mixed_gate(gate, photon_cap, *, layout):
+        basis = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
+        return fock.lift_mode_transform(mixing, basis)
+
+    monkeypatch.setattr(protocol, "gate_operator", mixed_gate)
+    herald_operators.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="'ppbs'.*e-"):
+            herald_operators("ppbs", 3, lay)
+    finally:
+        herald_operators.cache_clear()
 
 
 def test_run_rejects_low_cap_and_foreign_basis():
@@ -347,7 +408,7 @@ def test_two_photon_meter_events_fail_quietly():
     # can leave both photons in one arm; with no single meter photon those
     # outcomes never herald
     lay = DEFAULT_LAYOUT
-    basis, k = herald_operators("ppbs", 2, lay)
+    basis, _, k_vv = herald_operators("ppbs", 2, lay)
     joint = build_basis(4, 2)
     occ_in = [0, 0, 0, 0]
     occ_in[lay.signal_v] = 1
@@ -358,7 +419,7 @@ def test_two_photon_meter_events_fail_quietly():
     one = sum(abs(c) ** 2 for c, m in zip(col, meter_photons) if m == 1)
     two = sum(abs(c) ** 2 for c, m in zip(col, meter_photons) if m != 1)
     assert two > 0.1
-    heralded = np.sum(np.abs(k[:, 1, :, basis.index_of((0, 1))]) ** 2)
+    heralded = abs(k_vv[basis.index_of((0, 1))]) ** 2
     assert heralded == pytest.approx(one, rel=1e-12)
 
 
@@ -373,6 +434,26 @@ def test_phase_insensitivity(theta):
         base.herald_probability, abs=1e-12
     )
     assert rot.p1_out == pytest.approx(base.p1_out, abs=1e-12)
+
+
+@pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ModeLayout(1, 0, 2, 3)],
+                         ids=["default", "swapped"])
+def test_phase_averaged_diagonal_equals_the_per_n_loop(layout):
+    for cap in (2, 3, 5):
+        for alpha in (0.0, 0.03, 0.2 + 0.1j, 1.5):
+            rho, _ = phase_averaged_state(alpha, cap, layout=layout)
+            basis = rho.basis
+            vpos = basis.position(layout.signal_v)
+            mean = abs(alpha) ** 2
+            want = np.zeros((basis.size, basis.size), dtype=complex)
+            for n in range(cap + 1):
+                occ = [0, 0]
+                occ[vpos] = n
+                want[basis.index_of(tuple(occ)), basis.index_of(tuple(occ))] = (
+                    math.exp(-mean) * mean**n / math.factorial(n)
+                )
+            assert rho.matrix.dtype == want.dtype
+            assert rho.matrix.tobytes() == want.tobytes()
 
 
 def test_phase_averaged_equals_quadrature_average():
