@@ -285,20 +285,30 @@ def _repeat_indices(occ: tuple[int, ...]) -> list[int]:
     return out
 
 
-def lift_mode_transform(transform: ModeTransform, basis: FockBasis) -> np.ndarray:
+def lift_mode_transform(
+    transform: ModeTransform,
+    basis: FockBasis,
+    states: Iterable[int] | None = None,
+) -> np.ndarray:
     """Fock-space matrix of a mode transform on the given basis.
 
     <m|U|n> = per(U[rows(m), cols(n)]) / sqrt(prod m_i! prod n_j!), where rows
     and columns are repeated according to the occupations.  Only same-total
-    blocks are filled; photon number is conserved even for subunitary maps.
+    pairs are filled; photon number is conserved even for subunitary maps.
+
+    ``states`` lists basis indices, in any order and across any sectors; the
+    result is then only the block between them, in that order, and costs one
+    permanent per same-total pair in the list.  It equals the full lift cut
+    at those indices bit for bit.  By default every basis state is used.
     """
     u = transform.embed(basis.modes)
-    occs = basis.occupations
+    states = range(basis.size) if states is None else list(states)
+    occs = [basis.occupations[i] for i in states]
     totals = basis.totals()
-    op = np.zeros((basis.size, basis.size), dtype=complex)
+    op = np.zeros((len(occs), len(occs)), dtype=complex)
     sectors: dict[int, list[int]] = {}
-    for i, t in enumerate(totals):
-        sectors.setdefault(t, []).append(i)
+    for k, i in enumerate(states):
+        sectors.setdefault(totals[i], []).append(k)
     reps = [_repeat_indices(occ) for occ in occs]
     norms = [math.sqrt(math.prod(math.factorial(n) for n in occ)) for occ in occs]
     for idxs in sectors.values():

@@ -13,11 +13,13 @@ Gates are either 'ideal' (diagonal sign flip) or 'ppbs' (the postselected
 circuit, built from elements and lifted through permanents).  Every element
 keeps polarization and the herald keeps one meter photon, so between one
 meter photon in and one out the gate conserves the signal occupation
-(n_H, n_V): the lifted gate U is cut, once per (gate, cap, layout), into two
-diagonals K_HH and K_VV on the signal basis, with K_a = <a| U |a> for one
-meter photon in a (a in H, V).  A run at meter phase phi then applies
-M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal elementwise, as M psi or
-M_i rho_ij conj(M_j); the through-gate input size uses K_HH.
+(n_H, n_V).  The herald therefore lifts only the one-meter-photon block of
+the gate U, once per (gate, cap, layout), and keeps its two diagonals K_HH
+and K_VV on the signal basis, with K_a = <a| U |a> for one meter photon in
+a (a in H, V).  The full lift (gate_operator) is never built for a run.
+A run at meter phase phi then applies M(phi) = (K_HH - e^{i phi} K_VV)/2 to
+the signal elementwise, as M psi or M_i rho_ij conj(M_j); the through-gate
+input size uses K_HH.
 """
 
 from __future__ import annotations
@@ -281,17 +283,25 @@ def ppbs_cz_circuit(layout: ModeLayout = DEFAULT_LAYOUT) -> list[ModeTransform]:
     return [arm_signal, central, arm_meter]
 
 
+def _gate_block(
+    gate: GateKind, basis: FockBasis, layout: ModeLayout, states: list[int] | None
+) -> np.ndarray:
+    """The gate on the joint basis, or only its block between ``states``."""
+    if gate == "ideal":
+        op = ideal_cz(basis, layout=layout)
+        return op if states is None else op[np.ix_(states, states)]
+    if gate == "ppbs":
+        circuit = compose_transforms(ppbs_cz_circuit(layout))
+        return lift_mode_transform(circuit, basis, states)
+    raise ValueError(f"unknown gate {gate!r}")
+
+
 @lru_cache(maxsize=None)
 def _gate_operator(
     gate: GateKind, photon_cap: int, layout: ModeLayout
 ) -> np.ndarray:
     basis = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
-    if gate == "ideal":
-        op = ideal_cz(basis, layout=layout)
-    elif gate == "ppbs":
-        op = lift_mode_transform(compose_transforms(ppbs_cz_circuit(layout)), basis)
-    else:
-        raise ValueError(f"unknown gate {gate!r}")
+    op = _gate_block(gate, basis, layout, None)
     op.flags.writeable = False
     return op
 
@@ -342,15 +352,17 @@ def _prepare_signal(
 def herald_operators(
     gate: GateKind, photon_cap: int, layout: ModeLayout
 ) -> tuple[FockBasis, np.ndarray, np.ndarray]:
-    """Meter-conditioned diagonals of the lifted gate on the signal modes.
+    """Meter-conditioned diagonals of the gate on the signal modes.
 
     Returns the two-signal-mode basis at the cap and read-only vectors K_HH
     and K_VV, where K_a holds <one meter photon in a| U |one in a> for each
-    signal occupation.  Gate outputs with no meter photon or two of them
-    never herald.  Entries of signal states at the cap are zero: the meter
-    photon would push them over it.  Every other entry of the meter blocks
-    (the H-V blocks and the off-diagonal entries) must stay below 1e-12,
-    else a ValueError names the gate and the largest one.
+    signal occupation.  Only the one-meter-photon block of U is lifted:
+    4 sum_{n<cap} (n+1)^2 permanents for the postselected gate, and its
+    entries equal those of gate_operator bit for bit.  Gate outputs with no
+    meter photon or two of them never herald.  Entries of signal states at
+    the cap are zero: the meter photon would push them over it.  Every other
+    entry of the block (the H-V blocks and the off-diagonal entries) must
+    stay below 1e-12, else a ValueError names the gate and the largest one.
     """
     if photon_cap < 2:
         raise ValueError(
@@ -368,11 +380,10 @@ def herald_operators(
                 occ[p] = n
             occ[joint.position(meter_mode)] = 1
             cut.append(joint.index_of(tuple(occ)))
-    u = gate_operator(gate, photon_cap, layout=layout)[np.ix_(cut, cut)]
+    u = _gate_block(gate, joint, layout, cut)
     k = np.zeros((2, signal.size), dtype=complex)
     k[:, inside] = u.diagonal().reshape(2, -1)
-    np.fill_diagonal(u, 0.0)
-    stray = float(np.max(np.abs(u)))
+    stray = float(np.max(np.abs(u[~np.eye(len(cut), dtype=bool)])))
     if not stray <= _DIAGONAL_TOL:
         raise ValueError(
             f"gate {gate!r} does not keep the signal occupation and the meter "

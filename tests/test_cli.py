@@ -64,6 +64,21 @@ def test_protocol_json_output(tmp_path, capsys):
     )
 
 
+def test_protocol_at_cap_seven(capsys):
+    # the herald lifts only its block, so a cap this high runs in about a
+    # second instead of half a minute
+    code = main(["protocol", "--gain", "3", "--alpha2", "1e-4", "--cap", "7",
+                 "--format", "json"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["cap"] == 7
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    want = protocol.analytic(protocol.phi_for_gain(3.0), math.sqrt(1e-4))
+    assert row["herald_closed_form"] == pytest.approx(want.p_success, rel=1e-9)
+    assert row["herald_probability"] == pytest.approx(want.p_success, rel=1e-5)
+    assert row["gain_measured"] == pytest.approx(3.0, rel=1e-9)
+
+
 def test_protocol_rejects_phi_and_gain(capsys):
     assert main(["protocol", "--phi", "1.0", "--gain", "3"]) == 2
 

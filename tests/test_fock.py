@@ -128,6 +128,24 @@ def test_lift_preserves_photon_number_blocks(rng):
                 assert lifted[i, j] == 0.0
 
 
+@pytest.mark.parametrize("num_modes", [3, 4])
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_lifted_block_is_bit_equal_to_the_full_lift_cut(rng, num_modes, cap):
+    m = 0.8 * oracles.haar_unitary(num_modes, rng)
+    t = ModeTransform(m, tuple(range(num_modes)), kind="subunitary")
+    basis = build_basis(num_modes, cap)
+    full = lift_mode_transform(t, basis)
+    totals = basis.totals()
+    # one state of each total, highest first, then a random unsorted draw
+    by_total = [totals.index(n) for n in range(cap, -1, -1)]
+    drawn = list(rng.choice(basis.size, size=basis.size // 2, replace=False))
+    for states in (by_total, drawn):
+        assert len({totals[i] for i in states}) > 1
+        block = lift_mode_transform(t, basis, states)
+        assert not block.flags.writeable
+        assert np.array_equal(block, full[np.ix_(states, states)])
+
+
 def test_coincidence_amplitude_one_third_splitter():
     bs = beamsplitter(1.0 / 3.0, (0, 1))
     basis = build_basis(2, 2)

@@ -1,6 +1,7 @@
 """Heralded amplification: gains, herald probabilities, state preparation."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -324,7 +325,7 @@ def test_herald_operators_cut_the_lifted_gate():
 
 
 @pytest.mark.parametrize("gate", ["ppbs", "ideal"])
-@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
 def test_herald_diagonals_match_closed_form(gate, cap):
     basis, k_hh, k_vv = herald_operators(gate, cap, DEFAULT_LAYOUT)
     assert basis.modes == DEFAULT_LAYOUT.signal
@@ -359,23 +360,71 @@ def test_herald_diagonals_are_the_lifted_gate_meter_blocks(gate, cap):
             assert np.max(np.abs(block - want)) < 1e-12
 
 
+def _meter_cut(basis, joint, meter_mode, inside):
+    """Joint-basis indices of one meter photon in ``meter_mode`` next to each
+    signal occupation in ``inside``."""
+    cut = []
+    for i in inside:
+        occ = [0] * joint.num_modes
+        for mode, n in zip(basis.modes, basis.occupations[i]):
+            occ[joint.position(mode)] = n
+        occ[joint.position(meter_mode)] = 1
+        cut.append(joint.index_of(tuple(occ)))
+    return cut
+
+
+@pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ModeLayout(5, 2, 11, 0),
+                                    ModeLayout(3, 9, 1, 14)],
+                         ids=["default", "spread", "interleaved"])
+@pytest.mark.parametrize("gate", ["ppbs", "ideal"])
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_herald_diagonals_are_bit_equal_to_the_full_gate_cut(gate, cap,
+                                                             layout):
+    # the herald lifts only its block; the same entries of the full lift
+    # hold the same bits
+    basis, k_hh, k_vv = herald_operators(gate, cap, layout)
+    joint = build_basis(4, cap, modes=tuple(sorted(layout.modes())))
+    u = gate_operator(gate, cap, layout=layout)
+    inside = np.flatnonzero(np.array(basis.totals()) < cap)
+    for meter_mode, k in zip(layout.meter, (k_hh, k_vv)):
+        cut = _meter_cut(basis, joint, meter_mode, inside)
+        want = np.zeros(basis.size, dtype=complex)
+        want[inside] = u[cut, cut]
+        assert np.array_equal(k, want)
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4])
+def test_cold_herald_lifts_only_its_block(cap, monkeypatch):
+    # one permanent per same-total pair among the 2 (n + 1) one-meter-photon
+    # states of each signal total n below the cap, and no full gate
+    calls = []
+    permanent = fock.permanent
+
+    def counted(a):
+        calls.append(a.shape)
+        return permanent(a)
+
+    monkeypatch.setattr(fock, "permanent", counted)
+    monkeypatch.setattr(protocol, "_gate_operator", functools.lru_cache(
+        maxsize=None)(protocol._gate_operator.__wrapped__))
+    herald_operators.__wrapped__("ppbs", cap, ModeLayout(5, 2, 11, 0))
+    assert len(calls) == 4 * sum((n + 1) ** 2 for n in range(cap))
+    assert protocol._gate_operator.cache_info().currsize == 0
+
+
 def test_herald_operators_reject_a_gate_that_mixes_polarization(monkeypatch):
     # a half-wave plate on the signal after the gate turns n_H into n_V, so
     # the meter blocks are no longer diagonal
-    lay = DEFAULT_LAYOUT
-    mixing = fock.compose_transforms(
-        ppbs_cz_circuit(lay) + [oracles.hwp(math.pi / 8, lay.signal)]
-    )
+    circuit = protocol.ppbs_cz_circuit
 
-    def mixed_gate(gate, photon_cap, *, layout):
-        basis = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
-        return fock.lift_mode_transform(mixing, basis)
+    def mixing_circuit(layout):
+        return circuit(layout) + [oracles.hwp(math.pi / 8, layout.signal)]
 
-    monkeypatch.setattr(protocol, "gate_operator", mixed_gate)
+    monkeypatch.setattr(protocol, "ppbs_cz_circuit", mixing_circuit)
     herald_operators.cache_clear()
     try:
         with pytest.raises(ValueError, match="'ppbs'.*e-"):
-            herald_operators("ppbs", 3, lay)
+            herald_operators("ppbs", 3, DEFAULT_LAYOUT)
     finally:
         herald_operators.cache_clear()
 
