@@ -35,6 +35,7 @@ from .experiment import (
     gain_sweep,
     gain_vs_phi,
     measure_input_size,
+    state_size,
     true_input_size,
     visibility_experiment,
     with_sampled_output,
@@ -213,10 +214,7 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
         raise NumericalFailure(
             f"herald probability {out.herald_probability:.3e} vanished"
         )
-    size_out = None
     try:
-        from .experiment import state_size
-
         size_out = state_size(out.conditional_state, protocol.DEFAULT_LAYOUT.signal_v)
     except ZeroDivisionError:
         raise NumericalFailure("conditional state has no vacuum component")

@@ -4,7 +4,9 @@ Basis states are occupation tuples (n_1, ..., n_M) with a shared cap on the
 total photon number, ordered lexicographically.  Mode transforms (M x M
 matrices acting on creation operators) are lifted to Fock-space operators
 through matrix permanents; the lift preserves total photon number, so loss
-shows up as lost norm, never as silently moved population.
+shows up as lost norm, never as silently moved population.  There is no
+generic product of states: builders of joint states write them directly from
+the per-mode photon counts of the basis (FockBasis.counts).
 
 All containers are immutable after construction; every operation returns new
 objects, so states and operators can be shared freely across threads.
@@ -29,10 +31,6 @@ _UNITARY_ATOL = 1e-10
 
 class BasisSizeError(RuntimeError):
     """Requested basis would exceed the configured safety limit."""
-
-
-class ModeOverlapError(ValueError):
-    """Tensor factors share one or more modes."""
 
 
 class TruncationError(ValueError):
@@ -319,52 +317,6 @@ def lift_mode_transform(
                 op[i_out, i_in] = permanent(sub) / (norms[i_out] * norms[i_in])
     op.flags.writeable = False
     return op
-
-
-def tensor(
-    a: StateVector,
-    b: StateVector,
-    photon_cap: int | None = None,
-) -> tuple[StateVector, float]:
-    """Join pure states on disjoint mode sets; returns (state, discarded weight).
-
-    With the default cap (sum of the factor caps) nothing is discarded; a
-    tighter cap drops the over-cap components and reports their probability
-    weight instead of failing silently.
-    """
-    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
-        raise TypeError(
-            f"tensor joins pure states (StateVector), got "
-            f"{type(a).__name__} and {type(b).__name__}"
-        )
-    ba, bb = a.basis, b.basis
-    if set(ba.modes) & set(bb.modes):
-        raise ModeOverlapError(f"modes overlap: {ba.modes} vs {bb.modes}")
-    cap = ba.photon_cap + bb.photon_cap if photon_cap is None else photon_cap
-    modes = tuple(sorted(ba.modes + bb.modes))
-    basis = build_basis(len(modes), cap, modes=modes)
-    pos_a = [modes.index(m) for m in ba.modes]
-    pos_b = [modes.index(m) for m in bb.modes]
-    amps = np.zeros(basis.size, dtype=complex)
-    discarded = 0.0
-    for i, occ_a in enumerate(ba.occupations):
-        va = a.amplitudes[i]
-        if va == 0:
-            continue
-        for j, occ_b in enumerate(bb.occupations):
-            vb = b.amplitudes[j]
-            if vb == 0:
-                continue
-            if sum(occ_a) + sum(occ_b) <= cap:
-                occ = [0] * len(modes)
-                for p, n in zip(pos_a, occ_a):
-                    occ[p] = n
-                for p, n in zip(pos_b, occ_b):
-                    occ[p] = n
-                amps[basis.index_of(tuple(occ))] = va * vb
-            else:
-                discarded += abs(va * vb) ** 2
-    return StateVector(basis, amps), discarded
 
 
 def occupancy_distribution(state: State, mode: int) -> np.ndarray:

@@ -9,17 +9,22 @@ gain g = (1 + e^{i phi})/(1 - e^{i phi}), so the intensity gain is
 gate rescales the gain to |g|^2 / 3 and succeeds with probability 1/9 on
 two-photon inputs.
 
-Gates are either 'ideal' (diagonal sign flip) or 'ppbs' (the postselected
-circuit, built from elements and lifted through permanents).  Every element
-keeps polarization and the herald keeps one meter photon, so between one
-meter photon in and one out the gate conserves the signal occupation
-(n_H, n_V).  The herald therefore lifts only the one-meter-photon block of
-the gate U, once per (gate, cap, layout), and keeps its two diagonals K_HH
-and K_VV on the signal basis, with K_a = <a| U |a> for one meter photon in
-a (a in H, V).  The full lift (gate_operator) is never built for a run.
-A run at meter phase phi then applies M(phi) = (K_HH - e^{i phi} K_VV)/2 to
-the signal elementwise, as M psi or M_i rho_ij conj(M_j); the through-gate
-input size uses K_HH.
+Signals are written from per-mode photon-number ladders: a coherent product
+state gathers h[n_H] v[n_V] through the basis counts of the two signal
+modes, and the phase-averaged state reads its diagonal the same way.
+
+Gates are either 'ideal' (diagonal sign flip, read from the counts of the
+signal V and meter modes) or 'ppbs' (the postselected circuit, built from
+elements and lifted through permanents).  Every element keeps polarization
+and the herald keeps one meter photon, so between one meter photon in and
+one out the gate conserves the signal occupation (n_H, n_V).  The herald
+therefore lifts only the one-meter-photon block of the gate U, once per
+(gate, cap, layout), and keeps its two diagonals K_HH and K_VV on the
+signal basis, with K_a = <a| U |a> for one meter photon in a (a in H, V).
+The full lift (gate_operator) is never built for a run.  A run at meter
+phase phi then applies M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal
+elementwise, as M psi or M_i rho_ij conj(M_j); the through-gate input size
+uses K_HH.
 """
 
 from __future__ import annotations
@@ -138,6 +143,25 @@ class ProtocolOutcome:
     amplitude_gain: complex | None = None
 
 
+def _coherent_ladder(
+    alpha: complex, cap: int, truncation_bound: float
+) -> tuple[np.ndarray, float]:
+    """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cap and the Poisson
+    weight beyond the cap, which must not exceed the bound."""
+    pref = math.exp(-abs(alpha) ** 2 / 2.0)
+    amps = np.array(
+        [pref * alpha**n / math.sqrt(math.factorial(n)) for n in range(cap + 1)],
+        dtype=complex,
+    )
+    tail = _poisson_tail(abs(alpha) ** 2, cap)
+    if tail > truncation_bound:
+        raise fock.TruncationError(
+            f"coherent tail {tail:.3e} beyond cap {cap} exceeds bound "
+            f"{truncation_bound:.3e}; raise the cap or the bound"
+        )
+    return amps, tail
+
+
 def truncated_coherent(
     alpha: complex,
     photon_cap: int,
@@ -151,17 +175,7 @@ def truncated_coherent(
     renormalized, so occupation weights keep their exact Poissonian values.
     """
     basis = build_basis(1, photon_cap, modes=(mode,))
-    pref = math.exp(-abs(alpha) ** 2 / 2.0)
-    amps = np.array(
-        [pref * alpha**n / math.sqrt(math.factorial(n)) for n in range(photon_cap + 1)],
-        dtype=complex,
-    )
-    tail = _poisson_tail(abs(alpha) ** 2, photon_cap)
-    if tail > truncation_bound:
-        raise fock.TruncationError(
-            f"coherent tail {tail:.3e} beyond cap {photon_cap} exceeds bound "
-            f"{truncation_bound:.3e}; raise the cap or the bound"
-        )
+    amps, tail = _coherent_ladder(alpha, photon_cap, truncation_bound)
     # 1-mode basis is ordered 0..cap, so the ladder aligns with the index
     return StateVector(basis, amps), tail
 
@@ -192,6 +206,21 @@ def _poisson_tail(mean: float, cap: int) -> float:
     return tail
 
 
+def _pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The products h[i] v[j], formed from the float parts, +0 where a
+    factor is 0.
+
+    This rounds as numpy's scalar complex product does; the array product
+    can differ from it in the last bit.
+    """
+    hr, hi = h.real[:, None], h.imag[:, None]
+    out = np.empty((h.size, v.size), dtype=complex)
+    out.real = hr * v.real - hi * v.imag
+    out.imag = hr * v.imag + hi * v.real
+    out[(h == 0)[:, None] | (v == 0)] = 0
+    return out
+
+
 def two_mode_coherent(
     alpha_h: complex,
     alpha_v: complex,
@@ -200,15 +229,23 @@ def two_mode_coherent(
     layout: ModeLayout = DEFAULT_LAYOUT,
     truncation_bound: float = 1e-3,
 ) -> tuple[StateVector, float]:
-    """Product of coherent states on the signal H and V modes."""
-    h, tail_h = truncated_coherent(
-        alpha_h, photon_cap, mode=layout.signal_h, truncation_bound=truncation_bound
-    )
-    v, tail_v = truncated_coherent(
-        alpha_v, photon_cap, mode=layout.signal_v, truncation_bound=truncation_bound
-    )
-    state, dropped = fock.tensor(h, v, photon_cap=photon_cap)
-    return state, tail_h + tail_v + dropped
+    """Product of coherent states on the signal H and V modes.
+
+    Each amplitude is h[n_H] v[n_V], gathered from the two ladders by the
+    basis counts.  The returned weight is the two ladder tails plus the
+    product weight of the pairs (n_H, n_V) over the cap, added n_H-major.
+    """
+    h, tail_h = _coherent_ladder(alpha_h, photon_cap, truncation_bound)
+    v, tail_v = _coherent_ladder(alpha_v, photon_cap, truncation_bound)
+    basis = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
+    pairs = _pair_products(h, v)
+    amps = pairs[basis.counts(layout.signal_h), basis.counts(layout.signal_v)]
+    ladder = np.arange(photon_cap + 1)
+    dropped = 0.0
+    # scalar moduli: numpy's array hypot can differ from them in the last bit
+    for p in pairs[ladder[:, None] + ladder > photon_cap].tolist():
+        dropped += abs(p) ** 2
+    return StateVector(basis, amps), tail_h + tail_v + dropped
 
 
 def qubit_truncated_state(
@@ -251,14 +288,12 @@ def phase_averaged_state(
 def ideal_cz(basis: FockBasis, *, layout: ModeLayout = DEFAULT_LAYOUT) -> np.ndarray:
     """Diagonal gate flipping the sign of exactly the components with one
     signal V photon and the meter photon in V."""
-    sv = basis.position(layout.signal_v)
-    mh = basis.position(layout.meter_h)
-    mv = basis.position(layout.meter_v)
-    diag = np.ones(basis.size, dtype=complex)
-    for i, occ in enumerate(basis.occupations):
-        if occ[sv] == 1 and occ[mh] == 0 and occ[mv] == 1:
-            diag[i] = -1.0
-    return np.diag(diag)
+    flip = (
+        (basis.counts(layout.signal_v) == 1)
+        & (basis.counts(layout.meter_h) == 0)
+        & (basis.counts(layout.meter_v) == 1)
+    )
+    return np.diag(np.where(flip, -1.0, 1.0).astype(complex))
 
 
 def ppbs_cz_circuit(layout: ModeLayout = DEFAULT_LAYOUT) -> list[ModeTransform]:

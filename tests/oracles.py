@@ -4,8 +4,9 @@ Most of what is here works on plain dicts mapping occupation tuples to
 complex amplitudes and deliberately avoids the package's permanent-based code
 paths, so the two implementations can be compared against each other.  The
 last section holds the loop-based routes that only tests need: splitters and
-waveplates as mode transforms, partial traces, a density-matrix check and
-loss as an explicit Kraus sum.
+waveplates as mode transforms, partial traces, a density-matrix check,
+loss as an explicit Kraus sum and the pair-loop tensor product of pure
+states.
 """
 
 from __future__ import annotations
@@ -349,3 +350,53 @@ def loss_kraus_sum(loss, mode, state):
     for k in loss_kraus(loss, mode, rho.basis):
         out = out + k @ rho.matrix @ k.T
     return out
+
+
+class ModeOverlapError(ValueError):
+    """Tensor factors share one or more modes."""
+
+
+def tensor(
+    a: StateVector,
+    b: StateVector,
+    photon_cap: int | None = None,
+) -> tuple[StateVector, float]:
+    """Join pure states on disjoint mode sets; returns (state, discarded weight).
+
+    With the default cap (sum of the factor caps) nothing is discarded; a
+    tighter cap drops the over-cap components and reports their probability
+    weight instead of failing silently.
+    """
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise TypeError(
+            f"tensor joins pure states (StateVector), got "
+            f"{type(a).__name__} and {type(b).__name__}"
+        )
+    ba, bb = a.basis, b.basis
+    if set(ba.modes) & set(bb.modes):
+        raise ModeOverlapError(f"modes overlap: {ba.modes} vs {bb.modes}")
+    cap = ba.photon_cap + bb.photon_cap if photon_cap is None else photon_cap
+    modes = tuple(sorted(ba.modes + bb.modes))
+    basis = build_basis(len(modes), cap, modes=modes)
+    pos_a = [modes.index(m) for m in ba.modes]
+    pos_b = [modes.index(m) for m in bb.modes]
+    amps = np.zeros(basis.size, dtype=complex)
+    discarded = 0.0
+    for i, occ_a in enumerate(ba.occupations):
+        va = a.amplitudes[i]
+        if va == 0:
+            continue
+        for j, occ_b in enumerate(bb.occupations):
+            vb = b.amplitudes[j]
+            if vb == 0:
+                continue
+            if sum(occ_a) + sum(occ_b) <= cap:
+                occ = [0] * len(modes)
+                for p, n in zip(pos_a, occ_a):
+                    occ[p] = n
+                for p, n in zip(pos_b, occ_b):
+                    occ[p] = n
+                amps[basis.index_of(tuple(occ))] = va * vb
+            else:
+                discarded += abs(va * vb) ** 2
+    return StateVector(basis, amps), discarded

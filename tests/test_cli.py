@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from nla_weaksim import protocol
+from nla_weaksim import cli, protocol
 from nla_weaksim.cli import ConfigError, main, parse_grid
 
 
@@ -344,6 +344,17 @@ def test_vanished_herald_exits_numerical_with_shots(args, monkeypatch):
     monkeypatch.setattr(protocol, "run_nla", vanished)
     assert main(args) == 3
     assert main(args + ["--shots", "1000", "--seed", "1"]) == 3
+
+
+def test_protocol_without_output_vacuum_exits_numerical(monkeypatch, capsys):
+    def no_vacuum(*_args, **_kwargs):
+        raise ZeroDivisionError("mode has no vacuum component; odds undefined")
+
+    monkeypatch.setattr(cli, "state_size", no_vacuum)
+    assert main(["protocol", "--gain", "3", "--alpha2", "1e-4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no vacuum component" in captured.err
 
 
 def test_visibility_without_counts_exits_numerical(capsys):

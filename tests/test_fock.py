@@ -12,7 +12,6 @@ from nla_weaksim import fock
 from nla_weaksim.fock import (
     BasisSizeError,
     DensityOperator,
-    ModeOverlapError,
     ModeTransform,
     StateVector,
     basis_size,
@@ -22,9 +21,8 @@ from nla_weaksim.fock import (
     occupancy_distribution,
     occupancy_probability,
     permanent,
-    tensor,
 )
-from oracles import beamsplitter, partial_trace
+from oracles import ModeOverlapError, beamsplitter, partial_trace, tensor
 
 
 def test_basis_sizes():

@@ -554,6 +554,59 @@ def test_two_mode_coherent_is_product():
     assert tail < 1e-9
 
 
+_SPREAD = ModeLayout(5, 2, 11, 0)  # signal H sorts after signal V
+
+
+@pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, _SPREAD],
+                         ids=["default", "spread"])
+@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
+def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout):
+    # the gathered product holds the bits of the pair loop, and the weight
+    # over the cap adds the same terms in the same order
+    rng = np.random.default_rng(cap)
+    pairs = [(0.0, 0.3 + 0.2j), (0.0, 0.0), (0.25 - 0.1j, 0.3 + 0.2j),
+             (-0.4j, 0.15), (0.2, -0.35 - 0.05j), (0.3 + 0.3j, 0.0)]
+    pairs += [tuple(complex(*z) for z in 0.4 * rng.normal(size=(2, 2)))
+              for _ in range(6)]
+    for alpha_h, alpha_v in pairs:
+        h, tail_h = truncated_coherent(alpha_h, cap, mode=layout.signal_h,
+                                       truncation_bound=1.0)
+        v, tail_v = truncated_coherent(alpha_v, cap, mode=layout.signal_v,
+                                       truncation_bound=1.0)
+        want, dropped = oracles.tensor(h, v, photon_cap=cap)
+        state, weight = two_mode_coherent(alpha_h, alpha_v, cap, layout=layout,
+                                          truncation_bound=1.0)
+        assert state.basis == want.basis
+        assert np.array_equal(state.amplitudes, want.amplitudes)
+        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+        assert weight == tail_h + tail_v + dropped
+        if alpha_h == 0.0:
+            assert dropped == 0.0
+
+
+def test_two_mode_coherent_bounds_both_tails():
+    for alpha_h, alpha_v in ((1.5, 0.0), (0.0, 1.5)):
+        with pytest.raises(TruncationError, match="beyond cap 3"):
+            two_mode_coherent(alpha_h, alpha_v, 3)
+
+
+@pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, _SPREAD],
+                         ids=["default", "spread"])
+@pytest.mark.parametrize("cap", [2, 3, 4, 5])
+def test_ideal_cz_matches_the_basis_loop(cap, layout):
+    basis = build_basis(4, cap, modes=tuple(sorted(layout.modes())))
+    sv = basis.position(layout.signal_v)
+    mh = basis.position(layout.meter_h)
+    mv = basis.position(layout.meter_v)
+    diag = np.ones(basis.size, dtype=complex)
+    for i, occ in enumerate(basis.occupations):
+        if occ[sv] == 1 and occ[mh] == 0 and occ[mv] == 1:
+            diag[i] = -1.0
+    op = ideal_cz(basis, layout=layout)
+    assert op.dtype == complex
+    assert op.tobytes() == np.diag(diag).tobytes()
+
+
 def test_meter_setting_wraps_phase():
     wrapped = MeterSetting(3 * math.pi).phi
     assert abs(wrapped) == pytest.approx(math.pi, abs=1e-12)
