@@ -31,11 +31,12 @@ def main():
                                  rate_scale=args.rate_scale)
     args.outdir.mkdir(parents=True, exist_ok=True)
     lines = ["nominal_g2,visibility,uncertainty,classical_bound,exceeds_bound"]
-    for k, g2 in enumerate(GAINS):
-        scan = visibility_experiment(
-            g2, input_mag=args.alpha, phase_points=args.points,
-            counting=counting, stream=k,
-        )
+    scans = visibility_experiment(
+        GAINS, input_mag=args.alpha, phase_points=args.points,
+        counting=counting,
+    )
+    for scan in scans:
+        g2 = scan.nominal_g2
         ok = scan.fit.visibility - scan.fit.uncertainty > scan.classical_bound
         lines.append(
             f"{g2:g},{scan.fit.visibility:.6f},{scan.fit.uncertainty:.6f},"

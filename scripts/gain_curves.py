@@ -10,7 +10,6 @@ import argparse
 import math
 from pathlib import Path
 
-from nla_weaksim.experiment import with_sampled_output
 from nla_weaksim.experiment import CountingModel, HeraldingModel, gain_sweep
 from nla_weaksim.io import csv_text, svg_text
 
@@ -31,22 +30,14 @@ def main():
     herald = HeraldingModel(args.epsilon)
     counting = CountingModel(shots=args.shots, seed=args.seed,
                              rate_scale=args.rate_scale)
-    merged = None
-    for k, g2 in enumerate(GAINS):
-        res = gain_sweep(g2, INPUTS, herald=herald, counting=counting,
-                         stream_offset=k * len(INPUTS))
-        if merged is None:
-            merged = res
-        else:
-            merged.rows.extend(res.rows)
-    merged = with_sampled_output(merged)
+    sweep = gain_sweep(GAINS, INPUTS, herald=herald, counting=counting)
 
     csv_path = args.outdir / "gain_curves.csv"
-    csv_path.write_text(csv_text(merged), encoding="utf-8")
+    csv_path.write_text(csv_text(sweep), encoding="utf-8")
     svg_path = args.outdir / "gain_curves.svg"
     svg_path.write_text(
         svg_text(
-            merged,
+            sweep,
             x_column="input_measured",
             y_columns=["output_ideal", "output_model"],
             sampled_column="output_sampled",
@@ -56,12 +47,11 @@ def main():
         ),
         encoding="utf-8",
     )
-    ci = {c: i for i, c in enumerate(merged.columns)}
-    for g2 in GAINS:
-        rows = [r for r in merged.rows if r[ci["nominal_g2"]] == g2]
-        top = rows[-1]
+    ci = {c: i for i, c in enumerate(sweep.columns)}
+    # the largest input closes each gain's block of rows
+    for top in sweep.rows[len(INPUTS) - 1::len(INPUTS)]:
         print(
-            f"g2={g2:.3f}  phi={top[ci['phi']]:.4f}  "
+            f"g2={top[ci['nominal_g2']]:.3f}  phi={top[ci['phi']]:.4f}  "
             f"herald={top[ci['herald_probability']]:.4f}  "
             f"largest output={top[ci['output_model']]:.3e}"
         )

@@ -38,7 +38,6 @@ from .experiment import (
     state_size,
     true_input_size,
     visibility_experiment,
-    with_sampled_output,
 )
 from .fock import BasisSizeError, TruncationError
 from .protocol import InfiniteGainError, MeterSetting, SignalSpec
@@ -268,20 +267,10 @@ def cmd_gain_sweep(ns: argparse.Namespace) -> int:
     herald = _herald(ns)
     counting = _counting(ns)
     convention = _convention(ns.convention)
-    merged: Optional[SweepResult] = None
-    for k, g2 in enumerate(gains):
-        res = gain_sweep(
-            g2, inputs, ns.gate, herald=herald, counting=counting,
-            photon_cap=ns.cap, convention=convention,
-            stream_offset=k * len(inputs),
-        )
-        if merged is None:
-            merged = res
-            merged.meta["nominal_g2"] = list(gains)
-            merged.meta.pop("phi", None)
-        else:
-            merged.rows.extend(res.rows)
-    assert merged is not None
+    res = gain_sweep(
+        gains, inputs, ns.gate, herald=herald, counting=counting,
+        photon_cap=ns.cap, convention=convention,
+    )
     svg = {
         "x_column": "input_measured",
         "y_columns": ["output_ideal", "output_model"],
@@ -290,10 +279,9 @@ def cmd_gain_sweep(ns: argparse.Namespace) -> int:
         "title": "heralded output size vs measured input size",
     }
     if counting is not None:
-        merged = with_sampled_output(merged)
         svg["sampled_column"] = "output_sampled"
-    _emit(_render_table(merged, ns, svg), _resolve_output(ns.output))
-    return _herald_exit_code(merged)
+    _emit(_render_table(res, ns, svg), _resolve_output(ns.output))
+    return _herald_exit_code(res)
 
 
 def cmd_gain_vs_phi(ns: argparse.Namespace) -> int:
@@ -344,31 +332,22 @@ def cmd_visibility(ns: argparse.Namespace) -> int:
     if ns.bias is not None and ns.bias < 0:
         raise ConfigError(f"--bias {ns.bias} is negative")
     counting = _counting(ns)
-    rows = []
-    scans = []
-    for k, g2 in enumerate(gains):
-        try:
-            scan = visibility_experiment(
-                g2, input_mag=ns.alpha, phase_points=ns.points, gate=ns.gate,
-                bias_ratio=ns.bias, counting=counting, photon_cap=ns.cap,
-                stream=k,
-            )
-        except ZeroDivisionError as exc:
-            if counting is None:
-                raise
-            raise NumericalFailure(f"{exc} at gain {g2:g}: too few counts to "
-                                   "fit; raise --shots or --rate-scale") from exc
-        rows.append([
-            g2, scan.bias_ratio, scan.fit.visibility, scan.fit.uncertainty,
-            scan.classical_bound, scan.fit.amplitude, scan.fit.offset,
-            scan.fit.phase,
-        ])
-        scans.append({
-            "nominal_g2": g2,
-            "phase_points": scan.phase_points,
-            "rates": scan.rates,
-            "counts": scan.counts,
-        })
+    try:
+        scans = visibility_experiment(
+            gains, input_mag=ns.alpha, phase_points=ns.points, gate=ns.gate,
+            bias_ratio=ns.bias, counting=counting, photon_cap=ns.cap,
+        )
+    except ZeroDivisionError as exc:
+        if counting is None:
+            raise
+        raise NumericalFailure(f"{exc}: too few counts to fit; raise --shots "
+                               "or --rate-scale") from exc
+    rows = [
+        [scan.nominal_g2, scan.bias_ratio, scan.fit.visibility,
+         scan.fit.uncertainty, scan.classical_bound, scan.fit.amplitude,
+         scan.fit.offset, scan.fit.phase]
+        for scan in scans
+    ]
     result = SweepResult(
         kind="visibility",
         columns=[
@@ -382,7 +361,11 @@ def cmd_visibility(ns: argparse.Namespace) -> int:
             "points": ns.points,
             "shots": ns.shots,
             "seed": ns.seed,
-            "scans": scans,
+            "scans": [
+                {"nominal_g2": scan.nominal_g2, "phase_points": scan.phase_points,
+                 "rates": scan.rates, "counts": scan.counts}
+                for scan in scans
+            ],
         },
     )
     svg = {
@@ -409,15 +392,19 @@ def _add_common(p: argparse.ArgumentParser, *, gate_default: str) -> None:
 
 
 def _add_counting(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=0.35,
-                   help="herald saturation scale; 0 disables the model "
-                        "(default %(default)s)")
     p.add_argument("--shots", type=int, default=0,
                    help="trials for Poissonian counting; 0 disables sampling")
     p.add_argument("--seed", type=int, default=None,
                    help="RNG seed, required when --shots > 0")
     p.add_argument("--rate-scale", dest="rate_scale", type=float, default=1.0,
                    help="rate multiplier applied before drawing counts")
+
+
+def _add_detection(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--epsilon", type=float, default=0.35,
+                   help="herald saturation scale; 0 disables the model "
+                        "(default %(default)s)")
+    _add_counting(p)
     p.add_argument("--convention", choices=("through", "true"),
                    default="through",
                    help="input-size reference: measured through the gate or "
@@ -456,7 +443,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
                         "(default %(default)s)")
     p.add_argument("--inputs", default=DEFAULT_SWEEP_INPUTS,
                    help="input sizes |alpha|^2 (default %(default)s)")
-    _add_counting(p)
+    _add_detection(p)
     _add_common(p, gate_default="ppbs")
     p.set_defaults(fn=cmd_gain_sweep)
 
@@ -467,7 +454,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
                    help="meter phase grid (default %(default)s)")
     p.add_argument("--degrees", action="store_true",
                    help="interpret --phis in degrees")
-    _add_counting(p)
+    _add_detection(p)
     _add_common(p, gate_default="ppbs")
     p.set_defaults(fn=cmd_gain_vs_phi)
 
@@ -481,12 +468,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
     p.add_argument("--bias", type=float, default=None,
                    help="H:V input intensity ratio (default: the nominal "
                         "gain, which pre-compensates the amplification)")
-    p.add_argument("--shots", type=int, default=0,
-                   help="trials for Poissonian counting; 0 disables sampling")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed, required when --shots > 0")
-    p.add_argument("--rate-scale", dest="rate_scale", type=float, default=1.0,
-                   help="rate multiplier applied before drawing counts")
+    _add_counting(p)
     _add_common(p, gate_default="ideal")
     p.set_defaults(fn=cmd_visibility)
 

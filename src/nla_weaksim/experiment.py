@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -223,61 +223,77 @@ GAIN_SWEEP_COLUMNS = [
 ]
 
 
-def _sweep_point(
-    phi: float,
-    size: float,
+def _sweep(
+    kind: str,
+    columns: list[str],
+    meta: dict,
+    points: Iterable[tuple[list[object], float, float]],
     gate: GateKind,
     herald: Optional[HeraldingModel],
     counting: Optional[CountingModel],
     photon_cap: int,
     convention: MeasurementConvention,
-    stream: int,
-) -> list[object]:
-    """Row entries after the leading (nominal_g2, phi) pair of one point."""
-    alpha = math.sqrt(size)
-    spec = SignalSpec("coherent", alpha)
-    out = protocol.run_nla(spec, MeterSetting(phi), gate, photon_cap=photon_cap)
-    flag = ""
-    if out.conditional_state is None:
-        return [size, math.nan, math.nan, math.nan,
-                out.herald_probability, out.truncation_weight,
-                0, 0, 0, 0, math.nan, math.nan, "zero_herald"]
-    input_true = true_input_size(spec, photon_cap=photon_cap)
-    if convention is MeasurementConvention.THROUGH_GATE:
-        input_measured = measure_input_size(spec, gate, photon_cap=photon_cap)
-    else:
-        input_measured = input_true
-    output_ideal = state_size(out.conditional_state, DEFAULT_LAYOUT.signal_v)
-    # the detection chain rails on large heralded sizes: the model curve
-    # follows the ideal one for sizes << epsilon and saturates at epsilon,
-    # so the apparent gain cannot exceed epsilon over the measured input
-    output_model = herald.apply(output_ideal) if herald is not None \
-        else output_ideal
-    row: list[object] = [
-        input_true, input_measured, output_ideal, output_model,
-        out.herald_probability, out.truncation_weight,
-    ]
-    if counting is not None and counting.enabled:
-        p0_out = 1.0 / (1.0 + output_model)
-        coinc_out = out.herald_probability * output_model * p0_out
-        singles_out = out.herald_probability * p0_out
-        p0_in = 1.0 / (1.0 + input_measured)
-        coinc_in = input_measured * p0_in
-        singles_in = p0_in
-        counts, _, zero = simulate_counts(
-            [coinc_out, singles_out, coinc_in, singles_in], counting, stream=stream
-        )
-        gain_sampled, gain_err, nanflag = _sampled_gain(counts)
-        if zero or nanflag:
-            flag = "zero_count"
-        row += [int(c) for c in counts] + [gain_sampled, gain_err, flag]
-    else:
-        row += [0, 0, 0, 0, math.nan, math.nan, flag]
-    return row
+) -> SweepResult:
+    """A sweep with one row per (leading entries, phi, input size) point.
+
+    Row r draws its counts from stream r.  Each input size is sized, true
+    and measured, once: at the first point of it that heralds.
+    """
+    sizes: dict[float, tuple[float, float]] = {}
+    rows = []
+    for stream, (lead, phi, size) in enumerate(points):
+        spec = SignalSpec("coherent", math.sqrt(size))
+        out = protocol.run_nla(spec, MeterSetting(phi), gate, photon_cap=photon_cap)
+        if out.conditional_state is None:
+            rows.append(lead + [size, math.nan, math.nan, math.nan,
+                                out.herald_probability, out.truncation_weight,
+                                0, 0, 0, 0, math.nan, math.nan, "zero_herald"])
+            continue
+        if size not in sizes:
+            input_true = true_input_size(spec, photon_cap=photon_cap)
+            sizes[size] = input_true, (
+                measure_input_size(spec, gate, photon_cap=photon_cap)
+                if convention is MeasurementConvention.THROUGH_GATE else input_true)
+        input_true, input_measured = sizes[size]
+        output_ideal = state_size(out.conditional_state, DEFAULT_LAYOUT.signal_v)
+        # the detection chain rails on large heralded sizes: the model curve
+        # follows the ideal one for sizes << epsilon and saturates at epsilon,
+        # so the apparent gain cannot exceed epsilon over the measured input
+        output_model = herald.apply(output_ideal) if herald is not None \
+            else output_ideal
+        row = lead + [
+            input_true, input_measured, output_ideal, output_model,
+            out.herald_probability, out.truncation_weight,
+        ]
+        if counting is not None and counting.enabled:
+            p0_out = 1.0 / (1.0 + output_model)
+            coinc_out = out.herald_probability * output_model * p0_out
+            singles_out = out.herald_probability * p0_out
+            p0_in = 1.0 / (1.0 + input_measured)
+            coinc_in = input_measured * p0_in
+            singles_in = p0_in
+            counts, _, zero = simulate_counts(
+                [coinc_out, singles_out, coinc_in, singles_in], counting,
+                stream=stream,
+            )
+            gain_sampled, gain_err, nanflag = _sampled_gain(counts)
+            flag = "zero_count" if zero or nanflag else ""
+            row += [int(c) for c in counts] + [gain_sampled, gain_err, flag]
+        else:
+            row += [0, 0, 0, 0, math.nan, math.nan, ""]
+        rows.append(row)
+    return SweepResult(kind, columns, rows, {
+        **meta,
+        "gate": gate,
+        "convention": convention.value,
+        "epsilon": herald.epsilon if herald is not None else None,
+        "shots": counting.shots if counting is not None else 0,
+        "seed": counting.seed if counting is not None else None,
+    })
 
 
 def gain_sweep(
-    nominal_g2: float,
+    gains: Sequence[float],
     input_sizes: Sequence[float],
     gate: GateKind = "ppbs",
     *,
@@ -285,33 +301,28 @@ def gain_sweep(
     counting: Optional[CountingModel] = None,
     photon_cap: int = protocol.DEFAULT_PHOTON_CAP,
     convention: MeasurementConvention = MeasurementConvention.THROUGH_GATE,
-    stream_offset: int = 0,
 ) -> SweepResult:
-    """Output size versus input size at a fixed nominal intensity gain.
+    """Output size versus input size at each nominal intensity gain.
 
-    stream_offset shifts the per-point RNG streams so repeated sweeps under
-    one seed draw independent noise.
+    Rows run over the input sizes for each gain in turn.  With a counting
+    model an output_sampled column, gain_sampled times input_measured,
+    closes each row.
     """
-    phi = phi_for_gain(nominal_g2)
-    rows = [
-        [nominal_g2, phi] + _sweep_point(phi, s, gate, herald, counting,
-                                         photon_cap, convention, stream_offset + i)
-        for i, s in enumerate(input_sizes)
-    ]
-    return SweepResult(
-        kind="gain_sweep",
-        columns=list(GAIN_SWEEP_COLUMNS),
-        rows=rows,
-        meta={
-            "nominal_g2": nominal_g2,
-            "phi": phi,
-            "gate": gate,
-            "convention": convention.value,
-            "epsilon": herald.epsilon if herald is not None else None,
-            "shots": counting.shots if counting is not None else 0,
-            "seed": counting.seed if counting is not None else None,
-        },
-    )
+    def points():
+        for g2 in gains:
+            phi = phi_for_gain(g2)
+            for size in input_sizes:
+                yield [g2, phi], phi, size
+
+    res = _sweep("gain_sweep", list(GAIN_SWEEP_COLUMNS),
+                 {"nominal_g2": list(gains)}, points(), gate, herald, counting,
+                 photon_cap, convention)
+    if counting is not None:
+        g, m = res.columns.index("gain_sampled"), res.columns.index("input_measured")
+        for row in res.rows:
+            row.append(row[g] * row[m])
+        res.columns.append("output_sampled")
+    return res
 
 
 GAIN_VS_PHI_COLUMNS = ["phi", "nominal_g2"] + GAIN_SWEEP_COLUMNS[2:]
@@ -328,40 +339,14 @@ def gain_vs_phi(
     convention: MeasurementConvention = MeasurementConvention.THROUGH_GATE,
 ) -> SweepResult:
     """Output size versus meter phase for each input size."""
-    rows = []
-    stream = 0
-    for size in input_sizes:
-        for phi in phi_grid:
-            rows.append([phi, analytic(phi, 0.0).g2] + _sweep_point(
-                phi, size, gate, herald, counting, photon_cap, convention, stream
-            ))
-            stream += 1
-    return SweepResult(
-        kind="gain_vs_phi",
-        columns=list(GAIN_VS_PHI_COLUMNS),
-        rows=rows,
-        meta={
-            "input_sizes": list(input_sizes),
-            "gate": gate,
-            "convention": convention.value,
-            "epsilon": herald.epsilon if herald is not None else None,
-            "shots": counting.shots if counting is not None else 0,
-            "seed": counting.seed if counting is not None else None,
-        },
-    )
+    def points():
+        for size in input_sizes:
+            for phi in phi_grid:
+                yield [phi, analytic(phi, 0.0).g2], phi, size
 
-
-def with_sampled_output(result: SweepResult) -> SweepResult:
-    """Appends an output_sampled column, gain_sampled times input_measured."""
-    ci = {c: i for i, c in enumerate(result.columns)}
-    rows = []
-    for row in result.rows:
-        g = row[ci["gain_sampled"]]
-        m = row[ci["input_measured"]]
-        s = g * m if isinstance(g, float) and not math.isnan(g) else math.nan
-        rows.append(list(row) + [s])
-    return SweepResult(result.kind, result.columns + ["output_sampled"], rows,
-                       result.meta)
+    return _sweep("gain_vs_phi", list(GAIN_VS_PHI_COLUMNS),
+                  {"input_sizes": list(input_sizes)}, points(), gate, herald,
+                  counting, photon_cap, convention)
 
 
 def classical_visibility_bound(nominal_g2: float) -> float:
@@ -407,7 +392,7 @@ def _fit_fringe(
 
 
 def visibility_experiment(
-    nominal_g2: float,
+    gains: Sequence[float],
     *,
     input_mag: float = 0.0015,
     phase_points: int = 16,
@@ -416,62 +401,68 @@ def visibility_experiment(
     counting: Optional[CountingModel] = None,
     photon_cap: int = protocol.DEFAULT_PHOTON_CAP,
     layout: ModeLayout = DEFAULT_LAYOUT,
-    stream: int = 0,
-) -> FringeScan:
-    """Fringe scan of the heralded state against an analysis phase.
+) -> list[FringeScan]:
+    """Fringe scans of the heralded state against an analysis phase, one
+    per nominal gain; scan k draws its counts from stream k.
 
     The input carries coherent amplitudes on both polarizations with
     intensity ratio H:V = bias_ratio (default: the nominal gain, which
     pre-compensates the amplification so the output interferes at full
     contrast).  Rates at `phase_points` analysis phases are fit to a
     sinusoid; visibility above classical_visibility_bound(nominal_g2)
-    certifies phase preservation beyond any classical amplifier.  A fit
-    whose offset is not positive, as from a counted scan that drew no
-    counts, raises ZeroDivisionError.
+    certifies phase preservation beyond any classical amplifier.  A
+    vanished herald, or a fit whose offset is not positive, as from a
+    counted scan that drew no counts, raises ZeroDivisionError naming the
+    gain.
     """
-    if bias_ratio is None:
-        bias_ratio = nominal_g2
-    if not bias_ratio >= 0.0:
-        raise ValueError(f"bias_ratio {bias_ratio} must be nonnegative")
-    phi = phi_for_gain(nominal_g2)
-    alpha_v = input_mag
-    alpha_h = math.sqrt(bias_ratio) * input_mag
-    state, tail = protocol.two_mode_coherent(alpha_h, alpha_v, photon_cap,
-                                             layout=layout)
-    out = protocol.run_nla(state, MeterSetting(phi), gate, photon_cap=photon_cap,
-                           layout=layout)
-    if out.conditional_state is None:
-        raise ZeroDivisionError("herald probability vanished in fringe scan")
     thetas = np.linspace(0.0, 2.0 * math.pi, phase_points, endpoint=False)
-    # the heralded state of a pure input is pure; its H and V one-photon
-    # amplitudes interfere at phase theta, in scalar steps that round as before
-    cond = out.conditional_state
-    c10, c01 = (
-        cond.amplitudes[cond.basis.index_of(int(m == mode) for m in cond.basis.modes)]
-        for mode in layout.signal
-    )
-    rates = np.array(
-        [abs(c10 + np.exp(-1.0j * t) * c01) ** 2 / 2.0 for t in thetas]
-    )
-    counts_list: Optional[list[int]] = None
-    errors_list: Optional[list[float]] = None
-    if counting is not None and counting.enabled:
-        counts, errors, _ = simulate_counts(rates, counting, stream=stream)
-        scale = counting.rate_scale * counting.shots
-        values = counts / scale
-        sigmas = np.where(errors > 0, errors / scale, np.max(errors) / scale + 1e-30)
-        fit = _fit_fringe(thetas, values, sigmas)
-        counts_list = [int(c) for c in counts]
-        errors_list = [float(e) for e in errors]
-    else:
-        fit = _fit_fringe(thetas, rates, None)
-    return FringeScan(
-        nominal_g2=nominal_g2,
-        bias_ratio=bias_ratio,
-        phase_points=[float(t) for t in thetas],
-        rates=[float(r) for r in rates],
-        counts=counts_list,
-        errors=errors_list,
-        fit=fit,
-        classical_bound=classical_visibility_bound(nominal_g2),
-    )
+    scans = []
+    for stream, nominal_g2 in enumerate(gains):
+        bias = nominal_g2 if bias_ratio is None else bias_ratio
+        if not bias >= 0.0:
+            raise ValueError(f"bias_ratio {bias} must be nonnegative")
+        phi = phi_for_gain(nominal_g2)
+        state, _ = protocol.two_mode_coherent(math.sqrt(bias) * input_mag,
+                                              input_mag, photon_cap, layout=layout)
+        out = protocol.run_nla(state, MeterSetting(phi), gate,
+                               photon_cap=photon_cap, layout=layout)
+        if out.conditional_state is None:
+            raise ZeroDivisionError(
+                f"herald probability vanished in fringe scan at gain {nominal_g2:g}")
+        # the heralded state of a pure input is pure; its H and V one-photon
+        # amplitudes interfere at phase theta, in scalar steps per phase
+        cond = out.conditional_state
+        c10, c01 = (
+            cond.amplitudes[cond.basis.index_of(int(m == mode)
+                                                for m in cond.basis.modes)]
+            for mode in layout.signal
+        )
+        rates = np.array(
+            [abs(c10 + np.exp(-1.0j * t) * c01) ** 2 / 2.0 for t in thetas]
+        )
+        values, sigmas = rates, None
+        counts_list: Optional[list[int]] = None
+        errors_list: Optional[list[float]] = None
+        if counting is not None and counting.enabled:
+            counts, errors, _ = simulate_counts(rates, counting, stream=stream)
+            scale = counting.rate_scale * counting.shots
+            values = counts / scale
+            sigmas = np.where(errors > 0, errors / scale,
+                              np.max(errors) / scale + 1e-30)
+            counts_list = [int(c) for c in counts]
+            errors_list = [float(e) for e in errors]
+        try:
+            fit = _fit_fringe(thetas, values, sigmas)
+        except ZeroDivisionError as exc:
+            raise ZeroDivisionError(f"{exc} at gain {nominal_g2:g}") from exc
+        scans.append(FringeScan(
+            nominal_g2=nominal_g2,
+            bias_ratio=bias,
+            phase_points=[float(t) for t in thetas],
+            rates=[float(r) for r in rates],
+            counts=counts_list,
+            errors=errors_list,
+            fit=fit,
+            classical_bound=classical_visibility_bound(nominal_g2),
+        ))
+    return scans

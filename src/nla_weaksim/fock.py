@@ -127,12 +127,11 @@ def build_basis(
     photon_cap: int,
     *,
     modes: tuple[int, ...] | None = None,
-    limit: int | None = None,
 ) -> FockBasis:
     """Construct a basis, guarding against accidentally huge spaces.
 
-    The guard can be overridden per call or via the environment variable
-    NLA_WEAKSIM_MAX_BASIS.
+    The environment variable NLA_WEAKSIM_MAX_BASIS sets the largest size
+    allowed.
     """
     if modes is None:
         modes = tuple(range(num_modes))
@@ -140,8 +139,7 @@ def build_basis(
         modes = tuple(sorted(modes))
     if len(modes) != num_modes:
         raise ValueError("modes length must equal num_modes")
-    if limit is None:
-        limit = int(os.environ.get(BASIS_LIMIT_ENV, DEFAULT_BASIS_LIMIT))
+    limit = int(os.environ.get(BASIS_LIMIT_ENV, DEFAULT_BASIS_LIMIT))
     n = basis_size(num_modes, photon_cap)
     if n > limit:
         raise BasisSizeError(

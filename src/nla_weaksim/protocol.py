@@ -73,6 +73,10 @@ _PHASE_TOL = 1e-12
 # largest herald entry off the two meter diagonals a gate may leave
 _DIAGONAL_TOL = 1e-12
 
+# 170! is the largest factorial a float holds; photon-number ladders
+# continue past it by their recurrences
+_LARGEST_FLOAT_FACTORIAL = 170
+
 
 class InfiniteGainError(ArithmeticError):
     """Meter phase phi = 0 corresponds to unbounded gain."""
@@ -149,10 +153,11 @@ def _coherent_ladder(
     """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cap and the Poisson
     weight beyond the cap, which must not exceed the bound."""
     pref = math.exp(-abs(alpha) ** 2 / 2.0)
-    amps = np.array(
-        [pref * alpha**n / math.sqrt(math.factorial(n)) for n in range(cap + 1)],
-        dtype=complex,
-    )
+    terms = [pref * alpha**n / math.sqrt(math.factorial(n))
+             for n in range(min(cap, _LARGEST_FLOAT_FACTORIAL) + 1)]
+    for n in range(_LARGEST_FLOAT_FACTORIAL + 1, cap + 1):
+        terms.append(terms[-1] * alpha / math.sqrt(n))
+    amps = np.array(terms, dtype=complex)
     tail = _poisson_tail(abs(alpha) ** 2, cap)
     if tail > truncation_bound:
         raise fock.TruncationError(
@@ -204,6 +209,15 @@ def _poisson_tail(mean: float, cap: int) -> float:
         n += 1
         term *= mean / n
     return tail
+
+
+def _poisson_weights(mean: float, cap: int) -> np.ndarray:
+    """Poisson weights e^{-mean} mean^n / n! for n = 0..cap."""
+    weights = [math.exp(-mean) * mean**n / math.factorial(n)
+               for n in range(min(cap, _LARGEST_FLOAT_FACTORIAL) + 1)]
+    for n in range(_LARGEST_FLOAT_FACTORIAL + 1, cap + 1):
+        weights.append(weights[-1] * mean / n)
+    return np.array(weights)
 
 
 def _pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -276,9 +290,7 @@ def phase_averaged_state(
     """
     basis = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
     mean = abs(alpha) ** 2
-    weights = np.array([
-        math.exp(-mean) * mean**n / math.factorial(n) for n in range(photon_cap + 1)
-    ])
+    weights = _poisson_weights(mean, photon_cap)
     diag = np.where(basis.counts(layout.signal_h) == 0,
                     weights[basis.counts(layout.signal_v)], 0.0)
     m = np.diag(diag.astype(complex))

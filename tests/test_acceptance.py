@@ -128,7 +128,7 @@ def test_c06_linear_gain_at_small_inputs():
     inputs = [10 ** (-5 + 2 * i / 12) for i in range(13)]
     herald = HeraldingModel(epsilon=0.35)
     for g2 in (math.sqrt(4.5), 3.0, 6.0):
-        res = gain_sweep(g2, inputs, herald=herald)
+        res = gain_sweep([g2], inputs, herald=herald)
         ci = {c: i for i, c in enumerate(res.columns)}
         x = np.array([row[ci["input_measured"]] for row in res.rows])
         y = np.array([row[ci["output_ideal"]] for row in res.rows])
@@ -164,7 +164,7 @@ def test_c08_visibility_and_classical_bounds():
     gains = [2.0, 3.0, 4.0, 5.0]
     bounds = []
     for g2 in gains:
-        scan = visibility_experiment(g2, input_mag=0.0015, gate="ideal")
+        scan = visibility_experiment([g2], input_mag=0.0015, gate="ideal")[0]
         assert scan.fit.visibility == pytest.approx(1.0, abs=1e-6)
         bounds.append(scan.classical_bound)
     assert [round(b, 2) for b in bounds] == [0.71, 0.58, 0.50, 0.45]

@@ -364,3 +364,11 @@ def test_visibility_without_counts_exits_numerical(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--shots" in captured.err and "--rate-scale" in captured.err
+
+
+def test_visibility_above_cap_170_is_a_basis_error(capsys):
+    # the coherent ladders past 170! stay finite, so the basis guard decides
+    assert main(["visibility", "--gains", "2", "--cap", "171"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: basis with 4 modes, cap 171")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nla_weaksim import experiment
 from nla_weaksim.elements import DEFAULT_LAYOUT
 from nla_weaksim.experiment import (
     CountingModel,
@@ -44,7 +45,7 @@ def test_through_gate_measurement_scales_by_transmission():
 
 def test_gain_sweep_reproduces_nominal_gain():
     inputs = [1e-5, 1e-4, 1e-3]
-    res = gain_sweep(3.0, inputs, herald=None)
+    res = gain_sweep([3.0], inputs, herald=None)
     ci = {c: i for i, c in enumerate(res.columns)}
     for row in res.rows:
         assert row[ci["output_ideal"]] == pytest.approx(
@@ -57,7 +58,7 @@ def test_gain_sweep_reproduces_nominal_gain():
 
 def test_gain_sweep_true_input_convention():
     res = gain_sweep(
-        2.0, [1e-4], convention=MeasurementConvention.TRUE_INPUT
+        [2.0], [1e-4], convention=MeasurementConvention.TRUE_INPUT
     )
     ci = {c: i for i, c in enumerate(res.columns)}
     row = res.rows[0]
@@ -145,7 +146,7 @@ def test_simulate_counts_zero_and_overflow():
 
 def test_sampled_gain_recovers_nominal_within_noise():
     counting = CountingModel(shots=10**9, seed=7, rate_scale=100.0)
-    res = gain_sweep(3.0, [1e-4], counting=counting)
+    res = gain_sweep([3.0], [1e-4], counting=counting)
     ci = {c: i for i, c in enumerate(res.columns)}
     row = res.rows[0]
     gain, err = row[ci["gain_sampled"]], row[ci["gain_error"]]
@@ -156,11 +157,53 @@ def test_sampled_gain_recovers_nominal_within_noise():
 
 def test_sampled_gain_zero_counts_flagged():
     counting = CountingModel(shots=10, seed=3)
-    res = gain_sweep(3.0, [1e-5], counting=counting)
+    res = gain_sweep([3.0], [1e-5], counting=counting)
     ci = {c: i for i, c in enumerate(res.columns)}
     row = res.rows[0]
     assert math.isnan(row[ci["gain_sampled"]])
     assert row[ci["flag"]] == "zero_count"
+
+
+def test_counted_gain_sweep_draws_row_r_from_stream_r():
+    counting = CountingModel(shots=10**9, seed=7, rate_scale=100.0)
+    res = gain_sweep([2.0, 5.0], [1e-4, 3e-4, 1e-3], counting=counting)
+    ci = {c: i for i, c in enumerate(res.columns)}
+    assert [row[ci["nominal_g2"]] for row in res.rows] == [2.0] * 3 + [5.0] * 3
+    for r, row in enumerate(res.rows):
+        herald = row[ci["herald_probability"]]
+        out, inp = row[ci["output_model"]], row[ci["input_measured"]]
+        probabilities = [herald * out / (1 + out), herald / (1 + out),
+                         inp / (1 + inp), 1 / (1 + inp)]
+        counts, _, _ = simulate_counts(probabilities, counting, stream=r)
+        assert row[ci["coinc_out"]:ci["singles_in"] + 1] == counts.tolist()
+        assert row[ci["output_sampled"]] == row[ci["gain_sampled"]] * inp
+
+
+def test_gain_sweep_samples_output_only_with_a_counting_model():
+    assert "output_sampled" not in gain_sweep([3.0], [1e-4]).columns
+    res = gain_sweep([3.0], [1e-4], counting=CountingModel())
+    assert res.columns[-1] == "output_sampled"
+    assert math.isnan(res.rows[0][-1])
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: gain_sweep([2.0, 3.0], [1e-4, 2e-4, 1e-4]),
+    lambda: gain_vs_phi([1e-4, 2e-4, 1e-4], [0.5, 1.0, 1.5]),
+], ids=["gain_sweep", "gain_vs_phi"])
+def test_sweeps_size_each_distinct_input_once(monkeypatch, sweep):
+    sized = []
+
+    def counted(spec, *args, **kwargs):
+        sized.append(spec.alpha ** 2)
+        return measure_input_size(spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "measure_input_size", counted)
+    res = sweep()
+    assert sorted(sized) == pytest.approx([1e-4, 2e-4], rel=1e-12)
+    ci = {c: i for i, c in enumerate(res.columns)}
+    for row in res.rows:
+        assert row[ci["input_measured"]] == pytest.approx(
+            row[ci["input_true"]] / 3, rel=1e-10)
 
 
 def test_gain_vs_phi_layout():
@@ -173,22 +216,22 @@ def test_gain_vs_phi_layout():
 
 def test_visibility_unit_contrast_at_matched_bias():
     for g2 in (2.0, 3.0, 4.0, 5.0):
-        scan = visibility_experiment(g2)
+        scan = visibility_experiment([g2])[0]
         assert scan.bias_ratio == g2
         assert scan.fit.visibility == pytest.approx(1.0, abs=1e-9)
         assert scan.classical_bound == pytest.approx(1 / math.sqrt(g2), rel=1e-12)
 
 
 def test_visibility_unbiased_input_dilutes_contrast():
-    scan = visibility_experiment(4.0, bias_ratio=1.0)
+    scan = visibility_experiment([4.0], bias_ratio=1.0)[0]
     # amplitudes 1 and g' interfere: contrast 2 g' / (1 + g'^2) = 0.8 at g' = 2
     assert scan.fit.visibility == pytest.approx(0.8, abs=1e-6)
 
 
 def test_visibility_rejects_negative_bias():
     with pytest.raises(ValueError, match="bias_ratio"):
-        visibility_experiment(2.0, bias_ratio=-1.0)
-    assert visibility_experiment(2.0, bias_ratio=0.0).fit.visibility == \
+        visibility_experiment([2.0], bias_ratio=-1.0)
+    assert visibility_experiment([2.0], bias_ratio=0.0)[0].fit.visibility == \
         pytest.approx(0.0, abs=1e-12)
 
 
@@ -196,7 +239,24 @@ def test_visibility_without_counts_raises():
     # 1000 shots at unit rate scale draw no count at all: the fit offset is 0
     counting = CountingModel(shots=1000, seed=1)
     with pytest.raises(ZeroDivisionError, match="offset"):
-        visibility_experiment(2.0, counting=counting)
+        visibility_experiment([2.0], counting=counting)
+
+
+def test_visibility_fit_error_names_the_gain():
+    # the fringe rates of so small an input underflow to 0
+    with pytest.raises(ZeroDivisionError, match="not positive at gain 2.5$"):
+        visibility_experiment([2.5], input_mag=1e-200)
+
+
+def test_counted_visibility_draws_scan_k_from_stream_k():
+    counting = CountingModel(shots=10**7, seed=12, rate_scale=1e4)
+    scans = visibility_experiment([2.0, 3.0], counting=counting)
+    assert [scan.nominal_g2 for scan in scans] == [2.0, 3.0]
+    for k, scan in enumerate(scans):
+        counts, _, _ = simulate_counts(scan.rates, counting, stream=k)
+        assert scan.counts == counts.tolist()
+    stream0, _, _ = simulate_counts(scans[1].rates, counting, stream=0)
+    assert scans[1].counts != stream0.tolist()
 
 
 def test_visibility_bound_rejects_attenuation():
@@ -206,14 +266,14 @@ def test_visibility_bound_rejects_attenuation():
 
 def test_visibility_fit_recovers_sampled_fringe():
     counting = CountingModel(shots=10**7, seed=12, rate_scale=1e4)
-    scan = visibility_experiment(3.0, counting=counting)
+    scan = visibility_experiment([3.0], counting=counting)[0]
     assert scan.counts is not None
     assert scan.fit.uncertainty > 0
     assert abs(scan.fit.visibility - 1.0) < 5 * scan.fit.uncertainty + 1e-3
-    clean = visibility_experiment(3.0)
+    clean = visibility_experiment([3.0])[0]
     assert abs(scan.fit.visibility - clean.fit.visibility) < 0.05
 
 
 def test_visibility_ppbs_gate_matches_ideal_contrast():
-    scan = visibility_experiment(3.0, gate="ppbs")
+    scan = visibility_experiment([3.0], gate="ppbs")[0]
     assert scan.fit.visibility == pytest.approx(1.0, abs=1e-9)

@@ -627,3 +627,27 @@ def test_signal_spec_validation():
     for bad in (math.nan, -math.inf):
         with pytest.raises(ValueError):
             MeterSetting(bad)
+
+
+def test_ladders_past_170_are_finite_and_keep_the_closed_form_below():
+    state, tail = truncated_coherent(0.1, 171)
+    amps = state.amplitudes
+    assert np.all(np.isfinite(amps)) and tail == 0.0
+    pref = math.exp(-0.01 / 2.0)
+    assert amps[:171].tolist() == [
+        complex(pref * 0.1**n / math.sqrt(math.factorial(n))) for n in range(171)
+    ]
+    # past 170 each term is the last one times alpha / sqrt(n)
+    big, _ = truncated_coherent(8.0, 300, truncation_bound=1e-12)
+    a = big.amplitudes
+    assert np.all(np.isfinite(a))
+    past = np.arange(171, 175)
+    assert a[171:175] == pytest.approx(a[170:174] * 8.0 / np.sqrt(past), rel=1e-15)
+    assert math.fsum(abs(a) ** 2) == pytest.approx(1.0, abs=1e-12)
+    weights = protocol._poisson_weights(64.0, 300)
+    assert weights[:171].tolist() == [
+        math.exp(-64.0) * 64.0**n / math.factorial(n) for n in range(171)
+    ]
+    assert np.all(np.isfinite(weights))
+    assert weights[171:] == pytest.approx(np.abs(a[171:]) ** 2, rel=1e-12)
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)

@@ -1,12 +1,25 @@
-"""The README's library example runs as written."""
+"""The README's library example and command lines run as written."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from nla_weaksim import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands():
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    joined = block.replace("\\\n", " ")
+    return [line.strip() for line in joined.splitlines()
+            if line.strip().startswith("nla-weaksim ")]
 
 
 def test_readme_library_example_runs():
@@ -20,3 +33,14 @@ def test_readme_library_example_runs():
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_lists_every_subcommand():
+    commands = {shlex.split(line)[1] for line in _readme_commands()}
+    assert commands == {"protocol", "gain-sweep", "gain-vs-phi", "visibility"}
