@@ -60,17 +60,6 @@ class PPBSSpec:
                 raise ValueError(f"{name}={t} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class LossSpec:
-    """Fractional intensity loss in [0, 1]."""
-
-    l: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.l <= 1.0:
-            raise ValueError(f"loss {self.l} outside [0, 1]")
-
-
 def _bs_matrix(t: float) -> np.ndarray:
     ta = math.sqrt(t)
     ra = math.sqrt(1.0 - t)
@@ -163,6 +152,10 @@ class LossChannel:
     loss: float
     mode: int
 
+    def __post_init__(self):
+        if not 0.0 <= self.loss <= 1.0:
+            raise ValueError(f"loss {self.loss} outside [0, 1]")
+
     def apply(self, state: State) -> DensityOperator:
         basis = state.basis
         # a pure input's projector is only read here, so it is not wrapped
@@ -184,7 +177,3 @@ class LossChannel:
         moved = matrix.ravel()[src] * coeff[coeff_a] * coeff[coeff_b]
         out = np.bincount(slots, moved.view(float), minlength=2 * basis.size**2)
         return DensityOperator(basis, out.view(complex).reshape(basis.size, basis.size))
-
-
-def loss_channel(spec: LossSpec, mode: int) -> LossChannel:
-    return LossChannel(spec.l, mode)

@@ -187,21 +187,19 @@ def simulate_counts(
     return counts, errors, zero_flag
 
 
-def _sampled_gain(
-    counts: np.ndarray,
-) -> tuple[float, float, bool]:
+def _sampled_gain(counts: np.ndarray) -> tuple[float, float]:
     """Gain estimate from (coinc_out, singles_out, coinc_in, singles_in).
 
     Sizes are estimated as coincidence over singles; the gain is their
     ratio, with the usual root-sum inverse-count relative error.  Any zero
-    count makes the estimate NaN and raises the flag.
+    count makes the estimate NaN.
     """
     c_out, s_out, c_in, s_in = (int(c) for c in counts)
     if 0 in (c_out, s_out, c_in, s_in):
-        return math.nan, math.nan, True
+        return math.nan, math.nan
     gain = (c_out / s_out) / (c_in / s_in)
     rel = math.sqrt(1.0 / c_out + 1.0 / s_out + 1.0 / c_in + 1.0 / s_in)
-    return gain, gain * rel, False
+    return gain, gain * rel
 
 
 GAIN_SWEEP_COLUMNS = [
@@ -276,8 +274,8 @@ def _sweep(
                 [coinc_out, singles_out, coinc_in, singles_in], counting,
                 stream=stream,
             )
-            gain_sampled, gain_err, nanflag = _sampled_gain(counts)
-            flag = "zero_count" if zero or nanflag else ""
+            gain_sampled, gain_err = _sampled_gain(counts)
+            flag = "zero_count" if zero else ""
             row += [int(c) for c in counts] + [gain_sampled, gain_err, flag]
         else:
             row += [0, 0, 0, 0, math.nan, math.nan, ""]

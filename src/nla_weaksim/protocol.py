@@ -13,18 +13,17 @@ Signals are written from per-mode photon-number ladders: a coherent product
 state gathers h[n_H] v[n_V] through the basis counts of the two signal
 modes, and the phase-averaged state reads its diagonal the same way.
 
-Gates are either 'ideal' (diagonal sign flip, read from the counts of the
-signal V and meter modes) or 'ppbs' (the postselected circuit, built from
-elements and lifted through permanents).  Every element keeps polarization
-and the herald keeps one meter photon, so between one meter photon in and
-one out the gate conserves the signal occupation (n_H, n_V).  The herald
-therefore lifts only the one-meter-photon block of the gate U, once per
-(gate, cap, layout), and keeps its two diagonals K_HH and K_VV on the
-signal basis, with K_a = <a| U |a> for one meter photon in a (a in H, V).
-The full lift (gate_operator) is never built for a run.  A run at meter
-phase phi then applies M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal
-elementwise, as M psi or M_i rho_ij conj(M_j); the through-gate input size
-uses K_HH.
+The herald of a gate U keeps one meter photon, in a (a in H, V), and reads
+two diagonals on the signal basis, K_a = <a| U |a> for each signal
+occupation (n_H, n_V).  The 'ideal' controlled sign has them in closed
+form: K_HH = 1 and K_VV = 1 - 2 [n_V = 1].  The 'ppbs' gate is the
+postselected circuit, built from elements.  Every element keeps
+polarization, so between one meter photon in and one out it conserves the
+signal occupation, and its herald lifts only that block of U through
+permanents, once per (cap, layout).  The full lift (gate_operator) is never
+built for a run.  A run at meter phase phi then applies
+M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal elementwise, as M psi or
+M_i rho_ij conj(M_j); the through-gate input size uses K_HH.
 """
 
 from __future__ import annotations
@@ -33,17 +32,16 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal, Union
+from typing import Callable, Literal, Union
 
 import numpy as np
 
 from . import fock
 from .elements import (
     DEFAULT_LAYOUT,
-    LossSpec,
+    LossChannel,
     ModeLayout,
     PPBSSpec,
-    loss_channel,
     ppbs,
     vacuum_restriction,
 )
@@ -72,10 +70,6 @@ _PHASE_TOL = 1e-12
 
 # largest herald entry off the two meter diagonals a gate may leave
 _DIAGONAL_TOL = 1e-12
-
-# 170! is the largest factorial a float holds; photon-number ladders
-# continue past it by their recurrences
-_LARGEST_FLOAT_FACTORIAL = 170
 
 
 class InfiniteGainError(ArithmeticError):
@@ -147,17 +141,36 @@ class ProtocolOutcome:
     amplitude_gain: complex | None = None
 
 
+def _ladder(
+    cap: int,
+    closed: Callable[[int], complex],
+    recur: Callable[[complex, int], complex],
+) -> list[complex]:
+    """Terms closed(n) for n = 0..cap, continued by recur(term n - 1, n)
+    from the first n whose closed form overflows a float: its power, or
+    n! past 170."""
+    terms = []
+    for n in range(cap + 1):
+        try:
+            terms.append(closed(n))
+        except OverflowError:
+            break
+    for n in range(len(terms), cap + 1):
+        terms.append(recur(terms[-1], n))
+    return terms
+
+
 def _coherent_ladder(
     alpha: complex, cap: int, truncation_bound: float
 ) -> tuple[np.ndarray, float]:
     """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cap and the Poisson
     weight beyond the cap, which must not exceed the bound."""
     pref = math.exp(-abs(alpha) ** 2 / 2.0)
-    terms = [pref * alpha**n / math.sqrt(math.factorial(n))
-             for n in range(min(cap, _LARGEST_FLOAT_FACTORIAL) + 1)]
-    for n in range(_LARGEST_FLOAT_FACTORIAL + 1, cap + 1):
-        terms.append(terms[-1] * alpha / math.sqrt(n))
-    amps = np.array(terms, dtype=complex)
+    amps = np.array(_ladder(
+        cap,
+        lambda n: pref * alpha**n / math.sqrt(math.factorial(n)),
+        lambda prev, n: prev * alpha / math.sqrt(n),
+    ), dtype=complex)
     tail = _poisson_tail(abs(alpha) ** 2, cap)
     if tail > truncation_bound:
         raise fock.TruncationError(
@@ -213,11 +226,12 @@ def _poisson_tail(mean: float, cap: int) -> float:
 
 def _poisson_weights(mean: float, cap: int) -> np.ndarray:
     """Poisson weights e^{-mean} mean^n / n! for n = 0..cap."""
-    weights = [math.exp(-mean) * mean**n / math.factorial(n)
-               for n in range(min(cap, _LARGEST_FLOAT_FACTORIAL) + 1)]
-    for n in range(_LARGEST_FLOAT_FACTORIAL + 1, cap + 1):
-        weights.append(weights[-1] * mean / n)
-    return np.array(weights)
+    pref = math.exp(-mean)
+    return np.array(_ladder(
+        cap,
+        lambda n: pref * mean**n / math.factorial(n),
+        lambda prev, n: prev * mean / n,
+    ))
 
 
 def _pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -297,17 +311,6 @@ def phase_averaged_state(
     return DensityOperator(basis, m), _poisson_tail(mean, photon_cap)
 
 
-def ideal_cz(basis: FockBasis, *, layout: ModeLayout = DEFAULT_LAYOUT) -> np.ndarray:
-    """Diagonal gate flipping the sign of exactly the components with one
-    signal V photon and the meter photon in V."""
-    flip = (
-        (basis.counts(layout.signal_v) == 1)
-        & (basis.counts(layout.meter_h) == 0)
-        & (basis.counts(layout.meter_v) == 1)
-    )
-    return np.diag(np.where(flip, -1.0, 1.0).astype(complex))
-
-
 def ppbs_cz_circuit(layout: ModeLayout = DEFAULT_LAYOUT) -> list[ModeTransform]:
     """Postselected controlled-sign circuit as an ordered element list.
 
@@ -330,25 +333,14 @@ def ppbs_cz_circuit(layout: ModeLayout = DEFAULT_LAYOUT) -> list[ModeTransform]:
     return [arm_signal, central, arm_meter]
 
 
-def _gate_block(
-    gate: GateKind, basis: FockBasis, layout: ModeLayout, states: list[int] | None
-) -> np.ndarray:
-    """The gate on the joint basis, or only its block between ``states``."""
-    if gate == "ideal":
-        op = ideal_cz(basis, layout=layout)
-        return op if states is None else op[np.ix_(states, states)]
-    if gate == "ppbs":
-        circuit = compose_transforms(ppbs_cz_circuit(layout))
-        return lift_mode_transform(circuit, basis, states)
-    raise ValueError(f"unknown gate {gate!r}")
-
-
 @lru_cache(maxsize=None)
 def _gate_operator(
     gate: GateKind, photon_cap: int, layout: ModeLayout
 ) -> np.ndarray:
+    if gate != "ppbs":
+        raise ValueError(f"only the 'ppbs' gate is lifted, not {gate!r}")
     basis = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
-    op = _gate_block(gate, basis, layout, None)
+    op = lift_mode_transform(compose_transforms(ppbs_cz_circuit(layout)), basis)
     op.flags.writeable = False
     return op
 
@@ -359,7 +351,9 @@ def gate_operator(
     *,
     layout: ModeLayout = DEFAULT_LAYOUT,
 ) -> np.ndarray:
-    """Lifted Fock-space operator of the chosen gate (cached)."""
+    """Lifted Fock-space operator of the postselected 'ppbs' gate on the
+    four layout modes (cached).  The ideal gate has no lift: its herald is
+    closed-form."""
     return _gate_operator(gate, photon_cap, layout)
 
 
@@ -391,7 +385,7 @@ def _prepare_signal(
     else:
         state, tail = phase_averaged_state(spec.alpha, photon_cap, layout=layout)
     if spec.loss > 0.0:
-        state = loss_channel(LossSpec(spec.loss), layout.signal_v).apply(state)
+        state = LossChannel(spec.loss, layout.signal_v).apply(state)
     return state, tail
 
 
@@ -403,41 +397,55 @@ def herald_operators(
 
     Returns the two-signal-mode basis at the cap and read-only vectors K_HH
     and K_VV, where K_a holds <one meter photon in a| U |one in a> for each
-    signal occupation.  Only the one-meter-photon block of U is lifted:
-    4 sum_{n<cap} (n+1)^2 permanents for the postselected gate, and its
-    entries equal those of gate_operator bit for bit.  Gate outputs with no
-    meter photon or two of them never herald.  Entries of signal states at
-    the cap are zero: the meter photon would push them over it.  Every other
-    entry of the block (the H-V blocks and the off-diagonal entries) must
-    stay below 1e-12, else a ValueError names the gate and the largest one.
+    signal occupation.  The ideal gate's are closed-form: K_HH = 1 and
+    K_VV = 1 - 2 [n_V = 1].  For the postselected gate only the
+    one-meter-photon block of U is lifted, with 4 sum_{n<cap} (n+1)^2
+    permanents, and its entries equal those of gate_operator bit for bit;
+    every other entry of the block (the H-V blocks and the off-diagonal
+    entries) must stay below 1e-12, else a ValueError names the gate and the
+    largest one.  Gate outputs with no meter photon or two of them never
+    herald.  Entries of signal states at the cap are zero: the meter photon
+    would push them over it.
     """
     if photon_cap < 2:
         raise ValueError(
             f"photon cap {photon_cap} is below the two photons the gate acts on"
         )
+    # the joint basis guards the cap for both gates, though only the
+    # postselected one is lifted on it
     joint = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
     signal = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
-    spos = [joint.position(m) for m in signal.modes]
-    inside = np.flatnonzero(~signal.at_cap())
-    cut = []
-    for meter_mode in layout.meter:
-        for i in inside:
-            occ = [0] * joint.num_modes
-            for p, n in zip(spos, signal.occupations[i]):
-                occ[p] = n
-            occ[joint.position(meter_mode)] = 1
-            cut.append(joint.index_of(tuple(occ)))
-    u = _gate_block(gate, joint, layout, cut)
-    k = np.zeros((2, signal.size), dtype=complex)
-    k[:, inside] = u.diagonal().reshape(2, -1)
-    stray = float(np.max(np.abs(u[~np.eye(len(cut), dtype=bool)])))
-    if not stray <= _DIAGONAL_TOL:
-        raise ValueError(
-            f"gate {gate!r} does not keep the signal occupation and the meter "
-            f"polarization: herald entry {stray:.3e} off the diagonal"
+    inside = ~signal.at_cap()
+    if gate == "ideal":
+        flip = np.where(signal.counts(layout.signal_v) == 1, -1.0, 1.0)
+        k_hh = np.where(inside, 1.0, 0.0).astype(complex)
+        k_vv = np.where(inside, flip, 0.0).astype(complex)
+    elif gate == "ppbs":
+        spos = [joint.position(m) for m in signal.modes]
+        cut = []
+        for meter_mode in layout.meter:
+            for i in np.flatnonzero(inside):
+                occ = [0] * joint.num_modes
+                for p, n in zip(spos, signal.occupations[i]):
+                    occ[p] = n
+                occ[joint.position(meter_mode)] = 1
+                cut.append(joint.index_of(tuple(occ)))
+        u = lift_mode_transform(
+            compose_transforms(ppbs_cz_circuit(layout)), joint, cut
         )
-    k.flags.writeable = False
-    return signal, k[0], k[1]
+        stray = float(np.max(np.abs(u[~np.eye(len(cut), dtype=bool)])))
+        if not stray <= _DIAGONAL_TOL:
+            raise ValueError(
+                f"gate {gate!r} does not keep the signal occupation and the "
+                f"meter polarization: herald entry {stray:.3e} off the diagonal"
+            )
+        k_hh, k_vv = np.zeros((2, signal.size), dtype=complex)
+        k_hh[inside], k_vv[inside] = u.diagonal().reshape(2, -1)
+    else:
+        raise ValueError(f"unknown gate {gate!r}")
+    k_hh.flags.writeable = False
+    k_vv.flags.writeable = False
+    return signal, k_hh, k_vv
 
 
 def apply_herald(m: np.ndarray, state: State) -> tuple[State | None, float]:

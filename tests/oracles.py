@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nla_weaksim.fock import DensityOperator, ModeTransform, StateVector, build_basis
+from nla_weaksim.elements import DEFAULT_LAYOUT, ModeLayout
+from nla_weaksim.fock import (
+    DensityOperator,
+    FockBasis,
+    ModeTransform,
+    StateVector,
+    build_basis,
+)
 
 
 def expand_transform(matrix, occ_in):
@@ -183,6 +190,17 @@ def herald_diagonals(gate, cap):
         k_hh.append(hh)
         k_vv.append(vv)
     return np.array(k_hh, dtype=complex), np.array(k_vv, dtype=complex)
+
+
+def ideal_cz(basis: FockBasis, *, layout: ModeLayout = DEFAULT_LAYOUT) -> np.ndarray:
+    """Diagonal gate flipping the sign of exactly the components with one
+    signal V photon and the meter photon in V."""
+    flip = (
+        (basis.counts(layout.signal_v) == 1)
+        & (basis.counts(layout.meter_h) == 0)
+        & (basis.counts(layout.meter_v) == 1)
+    )
+    return np.diag(np.where(flip, -1.0, 1.0).astype(complex))
 
 
 def apply_ideal_cz(state):

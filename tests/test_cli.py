@@ -372,3 +372,11 @@ def test_visibility_above_cap_170_is_a_basis_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: basis with 4 modes, cap 171")
+
+
+def test_visibility_at_cap_30_builds_no_joint_gate(capsys):
+    # the ideal gate's herald is closed-form: no (joint size)^2 matrix, which
+    # at cap 30 would be 46,376^2 complex entries (32 GiB)
+    assert main(["visibility", "--gains", "2", "--cap", "30"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("nominal_g2,") and out.count("\n") == 2

@@ -12,10 +12,8 @@ import oracles
 from nla_weaksim import elements
 from nla_weaksim.elements import (
     LossChannel,
-    LossSpec,
     ModeLayout,
     PPBSSpec,
-    loss_channel,
     ppbs,
     vacuum_restriction,
 )
@@ -107,7 +105,7 @@ def test_vacuum_restriction_equals_vacuum_postselection(rng):
 
 def test_loss_channel_kraus_completeness():
     basis = build_basis(1, 3, modes=(0,))
-    ch = loss_channel(LossSpec(0.37), 0)
+    ch = LossChannel(0.37, 0)
     ks = oracles.loss_kraus(ch.loss, ch.mode, basis)
     total = sum(k.conj().T @ k for k in ks)
     assert np.max(np.abs(total - np.eye(basis.size))) < 1e-12
@@ -222,10 +220,12 @@ def test_loss_transfer_is_cached_per_shape_not_per_layout():
 
 
 def test_loss_spec_validation():
-    with pytest.raises(ValueError):
-        LossSpec(-0.1)
-    with pytest.raises(ValueError):
-        LossSpec(1.5)
+    # a loss outside [0, 1] would give NaN coefficients in apply
+    for bad in (-0.1, -0.2, 1.5, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            LossChannel(bad, 1)
+    for edge in (0.0, 1.0):
+        assert LossChannel(edge, 1).loss == edge
     with pytest.raises(ValueError):
         PPBSSpec(2.0, 0.5)
 

@@ -3,6 +3,7 @@
 import cmath
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from nla_weaksim.protocol import (
     apply_herald,
     gate_operator,
     herald_operators,
-    ideal_cz,
     phase_averaged_state,
     phi_for_gain,
     ppbs_cz_circuit,
@@ -114,7 +114,7 @@ def test_ppbs_circuit_matches_reference_matrix():
 
 def test_ideal_cz_flips_exactly_one_component():
     basis = build_basis(4, 2)
-    op = ideal_cz(basis)
+    op = oracles.ideal_cz(basis)
     diag = np.diag(op)
     sv = basis.position(DEFAULT_LAYOUT.signal_v)
     mh = basis.position(DEFAULT_LAYOUT.meter_h)
@@ -303,6 +303,21 @@ def test_gate_operator_is_cached():
     assert not a.flags.writeable
 
 
+@pytest.mark.parametrize("gate", ["ideal", "cz"])
+def test_gate_operator_lifts_only_the_postselected_gate(gate):
+    with pytest.raises(ValueError, match=repr(gate)):
+        gate_operator(gate, 3)
+
+
+def _joint_gate(gate, cap, layout=DEFAULT_LAYOUT):
+    """The gate on the joint basis: the production lift of the postselected
+    gate, the oracle's diagonal matrix for the ideal one."""
+    if gate == "ppbs":
+        return gate_operator(gate, cap, layout=layout)
+    joint = build_basis(4, cap, modes=tuple(sorted(layout.modes())))
+    return oracles.ideal_cz(joint, layout=layout)
+
+
 def test_herald_operators_cut_the_lifted_gate():
     basis, k_hh, k_vv = herald_operators("ideal", 3, DEFAULT_LAYOUT)
     again = herald_operators("ideal", 3, DEFAULT_LAYOUT)
@@ -324,8 +339,9 @@ def test_herald_operators_cut_the_lifted_gate():
         assert kept == pytest.approx(np.linalg.norm(amps) ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("gate", ["ppbs", "ideal"])
-@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("cap, gate", [
+    (cap, gate) for cap in range(2, 8) for gate in ("ideal", "ppbs")
+] + [(20, "ideal"), (44, "ideal")])
 def test_herald_diagonals_match_closed_form(gate, cap):
     basis, k_hh, k_vv = herald_operators(gate, cap, DEFAULT_LAYOUT)
     assert basis.modes == DEFAULT_LAYOUT.signal
@@ -342,7 +358,7 @@ def test_herald_diagonals_are_the_lifted_gate_meter_blocks(gate, cap):
     lay = DEFAULT_LAYOUT
     basis, k_hh, k_vv = herald_operators(gate, cap, lay)
     joint = build_basis(4, cap)
-    u = gate_operator(gate, cap)
+    u = _joint_gate(gate, cap)
     inside = [i for i, n in enumerate(basis.totals()) if n < cap]
 
     def column(i, meter_mode):
@@ -380,11 +396,11 @@ def _meter_cut(basis, joint, meter_mode, inside):
 @pytest.mark.parametrize("cap", [2, 3, 4, 5])
 def test_herald_diagonals_are_bit_equal_to_the_full_gate_cut(gate, cap,
                                                              layout):
-    # the herald lifts only its block; the same entries of the full lift
-    # hold the same bits
+    # the herald lifts only its block (or, for the ideal gate, writes it in
+    # closed form); the same entries of the full gate hold the same bits
     basis, k_hh, k_vv = herald_operators(gate, cap, layout)
     joint = build_basis(4, cap, modes=tuple(sorted(layout.modes())))
-    u = gate_operator(gate, cap, layout=layout)
+    u = _joint_gate(gate, cap, layout)
     inside = np.flatnonzero(np.array(basis.totals()) < cap)
     for meter_mode, k in zip(layout.meter, (k_hh, k_vv)):
         cut = _meter_cut(basis, joint, meter_mode, inside)
@@ -594,17 +610,31 @@ def test_two_mode_coherent_bounds_both_tails():
                          ids=["default", "spread"])
 @pytest.mark.parametrize("cap", [2, 3, 4, 5])
 def test_ideal_cz_matches_the_basis_loop(cap, layout):
-    basis = build_basis(4, cap, modes=tuple(sorted(layout.modes())))
+    # the closed-form diagonals hold the bits of a loop over the signal
+    # basis, +0 at the cap included
+    basis, k_hh, k_vv = herald_operators("ideal", cap, layout)
     sv = basis.position(layout.signal_v)
-    mh = basis.position(layout.meter_h)
-    mv = basis.position(layout.meter_v)
-    diag = np.ones(basis.size, dtype=complex)
+    want_hh = np.zeros(basis.size, dtype=complex)
+    want_vv = np.zeros(basis.size, dtype=complex)
     for i, occ in enumerate(basis.occupations):
-        if occ[sv] == 1 and occ[mh] == 0 and occ[mv] == 1:
-            diag[i] = -1.0
-    op = ideal_cz(basis, layout=layout)
-    assert op.dtype == complex
-    assert op.tobytes() == np.diag(diag).tobytes()
+        if sum(occ) < cap:
+            want_hh[i] = 1.0
+            want_vv[i] = -1.0 if occ[sv] == 1 else 1.0
+    assert k_hh.dtype == k_vv.dtype == complex
+    assert k_hh.tobytes() == want_hh.tobytes()
+    assert k_vv.tobytes() == want_vv.tobytes()
+
+
+def test_ideal_herald_builds_no_joint_matrix():
+    # a dense joint-basis gate at cap 12 would take 1820^2 complex entries
+    # (53 MB); the closed form needs only the 91 signal states
+    tracemalloc.start()
+    try:
+        herald_operators.__wrapped__("ideal", 12, DEFAULT_LAYOUT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_meter_setting_wraps_phase():
@@ -651,3 +681,29 @@ def test_ladders_past_170_are_finite_and_keep_the_closed_form_below():
     assert np.all(np.isfinite(weights))
     assert weights[171:] == pytest.approx(np.abs(a[171:]) ** 2, rel=1e-12)
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ladders_continue_where_the_closed_form_power_overflows():
+    # 144^n passes the largest float below n = 170: the weights before it
+    # keep the bits of the closed form, the rest follow w_n = w_{n-1} mean / n
+    first = 0
+    with pytest.raises(OverflowError):
+        while 144.0**first:
+            first += 1
+    assert first < 170
+    weights = protocol._poisson_weights(144.0, 400).tolist()
+    assert weights[:first] == [
+        math.exp(-144.0) * 144.0**n / math.factorial(n) for n in range(first)
+    ]
+    assert weights[first:] == [
+        weights[n - 1] * 144.0 / n for n in range(first, 401)
+    ]
+    assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
+    # at |alpha| = 70 the power overflows too, but exp(-|alpha|^2 / 2)
+    # already underflows to 0: the amplitudes are 0 and the tail is all of
+    # the weight, so only a bound of 1 admits them
+    amps, tail = protocol._coherent_ladder(70 + 0j, 6000, 1.0)
+    assert amps.shape == (6001,) and not np.any(amps) and tail == 1.0
+    for alpha in (70 + 0j, 70):
+        with pytest.raises(TruncationError, match="beyond cap 6000"):
+            truncated_coherent(alpha, 6000)
