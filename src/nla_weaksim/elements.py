@@ -116,21 +116,21 @@ def _loss_transfer(num_modes: int, photon_cap: int, position: int):
     """
     basis = FockBasis(tuple(range(num_modes)), photon_cap)
     size, width = basis.size, photon_cap + 1
-    pairs = []
+    counts = np.stack([basis.counts(m) for m in basis.modes])
+    # basis order is lexicographic, so the occupations read as base-width
+    # digits (position 0 leading) give increasing codes
+    digit = width ** np.arange(num_modes - 1, -1, -1)
+    codes = digit @ counts
+    src, tgt, coeff_a, coeff_b = [], [], [], []
     for k in range(width):
-        terms = []
-        for i, occ in enumerate(basis.occupations):
-            m = occ[position] - k
-            if m >= 0:
-                out = list(occ)
-                out[position] = m
-                terms.append((i, basis.index_of(tuple(out)), m * width + k))
-        pairs.extend(
-            (s1 * size + s2, t1 * size + t2, c1, c2)
-            for s1, t1, c1 in terms
-            for s2, t2, c2 in terms
-        )
-    src, tgt, coeff_a, coeff_b = (np.array(col, dtype=np.intp) for col in zip(*pairs))
+        s = np.flatnonzero(counts[position] >= k)
+        t = np.searchsorted(codes, codes[s] - k * digit[position])
+        c = (counts[position][s] - k) * width + k
+        src.append((s[:, None] * size + s).ravel())
+        tgt.append((t[:, None] * size + t).ravel())
+        coeff_a.append(np.repeat(c, c.size))
+        coeff_b.append(np.tile(c, c.size))
+    src, tgt, coeff_a, coeff_b = map(np.concatenate, (src, tgt, coeff_a, coeff_b))
     slots = np.stack([2 * tgt, 2 * tgt + 1], axis=1).ravel()
     comb = np.array(
         [[math.comb(m + k, k) for k in range(width)] for m in range(width)], dtype=float

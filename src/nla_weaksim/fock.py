@@ -258,8 +258,26 @@ def compose_transforms(transforms: Iterable[ModeTransform]) -> ModeTransform:
     return ModeTransform(full, modes, kind)
 
 
+@lru_cache(maxsize=None)
+def _ryser_table(n: int):
+    """Read-only subset table of Ryser's formula for n x n matrices: the
+    column indicators of every nonempty subset s (n x (2^n - 1), subsets in
+    the order of their bitmasks) and the signs (-1)^(n - |s|), both complex
+    so that no product converts them per call."""
+    masks = np.arange(1, 1 << n)
+    bits = (masks >> np.arange(n)[:, None]) & 1
+    signs = np.where((n - bits.sum(axis=0)) % 2 == 0, 1.0, -1.0).astype(complex)
+    bits = bits.astype(complex)
+    bits.flags.writeable = False
+    signs.flags.writeable = False
+    return bits, signs
+
+
 def permanent(a: np.ndarray) -> complex:
-    """Permanent by Ryser's inclusion-exclusion formula."""
+    """Permanent by Ryser's inclusion-exclusion formula,
+    sum_s (-1)^(n - |s|) prod_i sum_{j in s} a_ij, evaluated at once over
+    the cached subset table of n: the row sums of every subset are one
+    matrix product.  n <= 2 take their closed forms."""
     n = a.shape[0]
     if n == 0:
         return 1.0 + 0.0j
@@ -267,11 +285,8 @@ def permanent(a: np.ndarray) -> complex:
         return complex(a[0, 0])
     if n == 2:
         return complex(a[0, 0] * a[1, 1] + a[0, 1] * a[1, 0])
-    total = 0.0 + 0.0j
-    for s in range(1, 1 << n):
-        cols = [j for j in range(n) if (s >> j) & 1]
-        total += (-1) ** len(cols) * np.prod(np.sum(a[:, cols], axis=1))
-    return complex(total * (-1) ** n)
+    bits, signs = _ryser_table(n)
+    return complex(signs @ (a @ bits).prod(axis=0))
 
 
 def _repeat_indices(occ: tuple[int, ...]) -> list[int]:

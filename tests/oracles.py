@@ -5,8 +5,8 @@ complex amplitudes and deliberately avoids the package's permanent-based code
 paths, so the two implementations can be compared against each other.  The
 last section holds the loop-based routes that only tests need: splitters and
 waveplates as mode transforms, partial traces, a density-matrix check,
-loss as an explicit Kraus sum and the pair-loop tensor product of pure
-states.
+loss as an explicit Kraus sum and as a term-by-term pair table, and the
+pair-loop tensor product of pure states.
 """
 
 from __future__ import annotations
@@ -359,6 +359,34 @@ def loss_kraus(loss, mode, basis):
         if filled:
             ops.append(m)
     return ops
+
+
+def loss_transfer_loop(num_modes, photon_cap, position):
+    """The pair table of elements._loss_transfer, built term by term.
+
+    Per k, in basis order, each state with n >= k photons at the position
+    gives the term (state, state with n - k there, coefficient index
+    (n - k) * (cap + 1) + k); every ordered pair of terms of one k, first
+    term major, is one entry.  Returns (src, tgt, coeff_a, coeff_b) with
+    src and tgt flattened basis-size-squared indices.
+    """
+    basis = FockBasis(tuple(range(num_modes)), photon_cap)
+    size, width = basis.size, photon_cap + 1
+    pairs = []
+    for k in range(width):
+        terms = []
+        for i, occ in enumerate(basis.occupations):
+            m = occ[position] - k
+            if m >= 0:
+                out = list(occ)
+                out[position] = m
+                terms.append((i, basis.index_of(tuple(out)), m * width + k))
+        pairs.extend(
+            (s1 * size + s2, t1 * size + t2, c1, c2)
+            for s1, t1, c1 in terms
+            for s2, t2, c2 in terms
+        )
+    return tuple(np.array(col, dtype=np.intp) for col in zip(*pairs))
 
 
 def loss_kraus_sum(loss, mode, state):

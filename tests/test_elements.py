@@ -219,6 +219,21 @@ def test_loss_transfer_is_cached_per_shape_not_per_layout():
     assert (info.currsize, info.hits) == (1, 1)
 
 
+@pytest.mark.parametrize("num_modes", [1, 2, 3])
+@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6])
+def test_loss_transfer_matches_the_term_loop(num_modes, cap):
+    for position in range(num_modes):
+        src, slots, coeff_a, coeff_b, _ = elements._loss_transfer.__wrapped__(
+            num_modes, cap, position
+        )
+        want = oracles.loss_transfer_loop(num_modes, cap, position)
+        tgt = slots[::2] // 2
+        assert np.array_equal(slots[1::2], slots[::2] + 1)
+        for got, expect in zip((src, tgt, coeff_a, coeff_b), want):
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
+
+
 def test_loss_spec_validation():
     # a loss outside [0, 1] would give NaN coefficients in apply
     for bad in (-0.1, -0.2, 1.5, math.nan):

@@ -76,14 +76,37 @@ def test_permanent_small_cases(rng):
     assert permanent(a) == pytest.approx(1 * 4 + 2 * 3)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_permanent_matches_permutation_sum(rng, n):
-    a = _random_matrix(rng, n)
-    brute = sum(
+def _permutation_sum(a):
+    n = a.shape[0]
+    return sum(
         np.prod([a[i, p[i]] for i in range(n)])
         for p in itertools.permutations(range(n))
     )
-    assert permanent(a) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_permanent_matches_permutation_sum(rng, n):
+    a = _random_matrix(rng, n)
+    assert permanent(a) == pytest.approx(_permutation_sum(a), rel=1e-12)
+
+
+@pytest.mark.parametrize("rows, cols", [
+    ((0, 0, 1), (0, 1, 1)),
+    ((0, 0, 0, 1), (1, 1, 2, 2)),
+    ((0, 1, 1, 2, 2), (0, 0, 0, 1, 2)),
+    ((2, 2, 2, 2, 0, 1), (0, 1, 1, 1, 2, 2)),
+])
+def test_permanent_of_repeated_rows_and_columns(rng, rows, cols):
+    # the lift takes permanents of U[rows(m), cols(n)], each mode repeated
+    # as often as it is occupied
+    sub = oracles.haar_unitary(3, rng)[np.ix_(rows, cols)]
+    assert permanent(sub) == pytest.approx(_permutation_sum(sub), rel=1e-12)
+
+
+def test_permanent_with_a_zero_row_is_zero(rng):
+    a = _random_matrix(rng, 5)
+    a[2] = 0.0
+    assert permanent(a) == 0.0
 
 
 def test_lift_matches_operator_expansion(rng):

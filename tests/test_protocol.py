@@ -340,7 +340,7 @@ def test_herald_operators_cut_the_lifted_gate():
 
 
 @pytest.mark.parametrize("cap, gate", [
-    (cap, gate) for cap in range(2, 8) for gate in ("ideal", "ppbs")
+    (cap, gate) for cap in range(2, 11) for gate in ("ideal", "ppbs")
 ] + [(20, "ideal"), (44, "ideal")])
 def test_herald_diagonals_match_closed_form(gate, cap):
     basis, k_hh, k_vv = herald_operators(gate, cap, DEFAULT_LAYOUT)
@@ -443,6 +443,20 @@ def test_herald_operators_reject_a_gate_that_mixes_polarization(monkeypatch):
             herald_operators("ppbs", 3, DEFAULT_LAYOUT)
     finally:
         herald_operators.cache_clear()
+
+
+def test_herald_lift_check_has_a_rounding_budget(monkeypatch):
+    # a permanent that is off by rounding leaves entries off the diagonal of
+    # the lifted block; they pass within the budget and fail beyond it
+    permanent = fock.permanent
+    monkeypatch.setattr(fock, "permanent", lambda a: permanent(a) + 2e-12)
+    _, k_hh, k_vv = herald_operators.__wrapped__("ppbs", 4, DEFAULT_LAYOUT)
+    want_hh, want_vv = oracles.herald_diagonals("ppbs", 4)
+    assert np.max(np.abs(k_hh - want_hh)) < 1e-11
+    assert np.max(np.abs(k_vv - want_vv)) < 1e-11
+    monkeypatch.setattr(fock, "permanent", lambda a: permanent(a) + 1e-6)
+    with pytest.raises(ValueError, match="'ppbs'.*off the diagonal"):
+        herald_operators.__wrapped__("ppbs", 4, DEFAULT_LAYOUT)
 
 
 def test_run_rejects_low_cap_and_foreign_basis():
