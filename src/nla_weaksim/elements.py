@@ -25,7 +25,11 @@ from .fock import DensityOperator, FockBasis, ModeTransform, State, StateVector
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """Global mode indices for the two polarization-resolved spatial paths."""
+    """Global mode indices for the two polarization-resolved spatial paths.
+
+    The protocol builds every state, gate and herald on DEFAULT_LAYOUT's
+    modes 0 to 3; another layout only names the modes of run_nla's
+    conditional state."""
 
     signal_h: int = 0
     signal_v: int = 1

@@ -9,6 +9,11 @@ gain g = (1 + e^{i phi})/(1 - e^{i phi}), so the intensity gain is
 gate rescales the gain to |g|^2 / 3 and succeeds with probability 1/9 on
 two-photon inputs.
 
+Every state, gate and herald lives on the four fixed modes of
+DEFAULT_LAYOUT: signal H and V are modes 0 and 1, meter H and V modes 2 and
+3, so a signal occupation reads (n_H, n_V).  Only run_nla takes another
+layout, and only to name the modes of its conditional state.
+
 Signals are written from per-mode photon-number ladders: a coherent product
 state gathers h[n_H] v[n_V] through the basis counts of the two signal
 modes, and the phase-averaged state reads its diagonal the same way.
@@ -20,8 +25,8 @@ form: K_HH = 1 and K_VV = 1 - 2 [n_V = 1].  The 'ppbs' gate is the
 postselected circuit, built from elements.  Every element keeps
 polarization, so between one meter photon in and one out it conserves the
 signal occupation, and its herald lifts only that block of U through
-permanents, once per (cap, layout).  The full lift (gate_operator) is never
-built for a run.  A run at meter phase phi then applies
+permanents, once per cap.  The full lift (gate_operator) is never built
+for a run.  A run at meter phase phi then applies
 M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal elementwise, as M psi or
 M_i rho_ij conj(M_j); the through-gate input size uses K_HH.
 """
@@ -67,6 +72,8 @@ DEFAULT_PHOTON_CAP = 3
 ZERO_PROBABILITY = 1e-30
 
 _PHASE_TOL = 1e-12
+
+_SIGNAL_H, _SIGNAL_V = DEFAULT_LAYOUT.signal
 
 # largest lifted herald entry off the two meter diagonals: the rounding
 # budget of the permanents (see herald_operators)
@@ -181,24 +188,6 @@ def _coherent_ladder(
     return amps, tail
 
 
-def truncated_coherent(
-    alpha: complex,
-    photon_cap: int,
-    *,
-    mode: int = DEFAULT_LAYOUT.signal_v,
-    truncation_bound: float = 1e-3,
-) -> tuple[StateVector, float]:
-    """Coherent amplitudes exp(-|a|^2/2) a^n / sqrt(n!) up to the cap.
-
-    Returns (state, discarded tail weight).  The state is intentionally not
-    renormalized, so occupation weights keep their exact Poissonian values.
-    """
-    basis = build_basis(1, photon_cap, modes=(mode,))
-    amps, tail = _coherent_ladder(alpha, photon_cap, truncation_bound)
-    # 1-mode basis is ordered 0..cap, so the ladder aligns with the index
-    return StateVector(basis, amps), tail
-
-
 def _poisson_tail(mean: float, cap: int) -> float:
     """Poisson weight beyond the cap.
 
@@ -255,7 +244,6 @@ def two_mode_coherent(
     alpha_v: complex,
     photon_cap: int,
     *,
-    layout: ModeLayout = DEFAULT_LAYOUT,
     truncation_bound: float = 1e-3,
 ) -> tuple[StateVector, float]:
     """Product of coherent states on the signal H and V modes.
@@ -266,9 +254,9 @@ def two_mode_coherent(
     """
     h, tail_h = _coherent_ladder(alpha_h, photon_cap, truncation_bound)
     v, tail_v = _coherent_ladder(alpha_v, photon_cap, truncation_bound)
-    basis = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
+    basis = build_basis(2, photon_cap)
     pairs = _pair_products(h, v)
-    amps = pairs[basis.counts(layout.signal_h), basis.counts(layout.signal_v)]
+    amps = pairs[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)]
     ladder = np.arange(photon_cap + 1)
     dropped = 0.0
     # scalar moduli: numpy's array hypot can differ from them in the last bit
@@ -277,93 +265,70 @@ def two_mode_coherent(
     return StateVector(basis, amps), tail_h + tail_v + dropped
 
 
-def qubit_truncated_state(
-    alpha: complex,
-    photon_cap: int,
-    *,
-    layout: ModeLayout = DEFAULT_LAYOUT,
-) -> StateVector:
+def qubit_truncated_state(alpha: complex, photon_cap: int) -> StateVector:
     """Two-level approximation N(|0> + alpha|1>) on the signal modes."""
-    basis = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
+    basis = build_basis(2, photon_cap)
     pref = math.exp(-abs(alpha) ** 2 / 2.0)
     amps = np.zeros(basis.size, dtype=complex)
     amps[basis.index_of((0, 0))] = pref
-    amps[basis.index_of(int(m == layout.signal_v) for m in basis.modes)] = pref * alpha
+    amps[basis.index_of((0, 1))] = pref * alpha
     return StateVector(basis, amps)
 
 
 def phase_averaged_state(
-    alpha: complex,
-    photon_cap: int,
-    *,
-    layout: ModeLayout = DEFAULT_LAYOUT,
+    alpha: complex, photon_cap: int
 ) -> tuple[DensityOperator, float]:
     """Diagonal mixture with Poissonian weights e^{-|a|^2} |a|^{2n} / n!.
 
     Equal to averaging |a e^{i theta}> projectors over theta; the weight
     beyond the cap is returned as the truncation tail.
     """
-    basis = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
+    basis = build_basis(2, photon_cap)
     mean = abs(alpha) ** 2
     weights = _poisson_weights(mean, photon_cap)
-    diag = np.where(basis.counts(layout.signal_h) == 0,
-                    weights[basis.counts(layout.signal_v)], 0.0)
+    diag = np.where(basis.counts(_SIGNAL_H) == 0,
+                    weights[basis.counts(_SIGNAL_V)], 0.0)
     m = np.diag(diag.astype(complex))
     return DensityOperator(basis, m), _poisson_tail(mean, photon_cap)
 
 
-def ppbs_cz_circuit(layout: ModeLayout = DEFAULT_LAYOUT) -> list[ModeTransform]:
+def ppbs_cz_circuit() -> list[ModeTransform]:
     """Postselected controlled-sign circuit as an ordered element list.
 
-    An H-splitting PPBS in each arm (discard port held at vacuum) and a
-    central V-splitting PPBS between the arms, all with transmission 1/3 on
-    the split polarization.  Conditioned on one photon per output the circuit
-    equals the ideal gate times 1/3.
+    An H-splitting PPBS in each arm (discard port held at vacuum, on modes
+    4 to 7) and a central V-splitting PPBS between the arms, all with
+    transmission 1/3 on the split polarization.  Conditioned on one photon
+    per output the circuit equals the ideal gate times 1/3.
     """
-    top = max(layout.modes())
-    aux_sig = (top + 1, top + 2)
-    aux_met = (top + 3, top + 4)
+    signal, meter = DEFAULT_LAYOUT.signal, DEFAULT_LAYOUT.meter
+    aux_sig, aux_met = (4, 5), (6, 7)
     t = GATE_TRANSMISSION
     arm_signal = vacuum_restriction(
-        ppbs(PPBSSpec(t_h=t, t_v=1.0), layout.signal, aux_sig), aux_sig
+        ppbs(PPBSSpec(t_h=t, t_v=1.0), signal, aux_sig), aux_sig
     )
-    central = ppbs(PPBSSpec(t_h=1.0, t_v=t), layout.signal, layout.meter)
+    central = ppbs(PPBSSpec(t_h=1.0, t_v=t), signal, meter)
     arm_meter = vacuum_restriction(
-        ppbs(PPBSSpec(t_h=t, t_v=1.0), layout.meter, aux_met), aux_met
+        ppbs(PPBSSpec(t_h=t, t_v=1.0), meter, aux_met), aux_met
     )
     return [arm_signal, central, arm_meter]
 
 
 @lru_cache(maxsize=None)
-def _gate_operator(
-    gate: GateKind, photon_cap: int, layout: ModeLayout
+def gate_operator(
+    gate: GateKind, photon_cap: int = DEFAULT_PHOTON_CAP
 ) -> np.ndarray:
+    """Lifted Fock-space operator of the postselected 'ppbs' gate on the
+    four modes (cached).  The ideal gate has no lift: its herald is
+    closed-form."""
     if gate != "ppbs":
         raise ValueError(f"only the 'ppbs' gate is lifted, not {gate!r}")
-    basis = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
-    op = lift_mode_transform(compose_transforms(ppbs_cz_circuit(layout)), basis)
+    basis = build_basis(4, photon_cap)
+    op = lift_mode_transform(compose_transforms(ppbs_cz_circuit()), basis)
     op.flags.writeable = False
     return op
 
 
-def gate_operator(
-    gate: GateKind,
-    photon_cap: int = DEFAULT_PHOTON_CAP,
-    *,
-    layout: ModeLayout = DEFAULT_LAYOUT,
-) -> np.ndarray:
-    """Lifted Fock-space operator of the postselected 'ppbs' gate on the
-    four layout modes (cached).  The ideal gate has no lift: its herald is
-    closed-form."""
-    return _gate_operator(gate, photon_cap, layout)
-
-
-def prepare_signal(
-    spec: SignalSpec,
-    photon_cap: int,
-    *,
-    layout: ModeLayout = DEFAULT_LAYOUT,
-) -> tuple[State, float]:
+def prepare_signal(spec: SignalSpec, photon_cap: int) -> tuple[State, float]:
     """Signal state on the (H, V) signal modes per the spec, plus tail weight.
 
     Cached: the run and the input sizes of one point share one read-only
@@ -371,35 +336,36 @@ def prepare_signal(
     float and complex amplitudes compare equal, yet their powers round
     differently.
     """
-    return _prepare_signal(spec, type(spec.alpha), photon_cap, layout)
+    return _prepare_signal(spec, type(spec.alpha), photon_cap)
 
 
 # bounded: sweeps draw a new spec per point, so only the last few recur
 @lru_cache(maxsize=8)
 def _prepare_signal(
-    spec: SignalSpec, alpha_type: type, photon_cap: int, layout: ModeLayout
+    spec: SignalSpec, alpha_type: type, photon_cap: int
 ) -> tuple[State, float]:
     if spec.kind == "coherent":
-        state, tail = two_mode_coherent(0.0, spec.alpha, photon_cap, layout=layout)
+        state, tail = two_mode_coherent(0.0, spec.alpha, photon_cap)
     elif spec.kind == "qubit_truncated":
-        state, tail = qubit_truncated_state(spec.alpha, photon_cap, layout=layout), 0.0
+        state, tail = qubit_truncated_state(spec.alpha, photon_cap), 0.0
     else:
-        state, tail = phase_averaged_state(spec.alpha, photon_cap, layout=layout)
+        state, tail = phase_averaged_state(spec.alpha, photon_cap)
     if spec.loss > 0.0:
-        state = LossChannel(spec.loss, layout.signal_v).apply(state)
+        state = LossChannel(spec.loss, _SIGNAL_V).apply(state)
     return state, tail
 
 
 @lru_cache(maxsize=None)
 def herald_operators(
-    gate: GateKind, photon_cap: int, layout: ModeLayout
+    gate: GateKind, photon_cap: int
 ) -> tuple[FockBasis, np.ndarray, np.ndarray]:
-    """Meter-conditioned diagonals of the gate on the signal modes.
+    """Meter-conditioned diagonals of the gate on the fixed signal modes,
+    cached per (gate, cap).
 
     Returns the two-signal-mode basis at the cap and read-only vectors K_HH
     and K_VV, where K_a holds <one meter photon in a| U |one in a> for each
-    signal occupation.  The ideal gate's are closed-form: K_HH = 1 and
-    K_VV = 1 - 2 [n_V = 1].  For the postselected gate only the
+    signal occupation (n_H, n_V).  The ideal gate's are closed-form:
+    K_HH = 1 and K_VV = 1 - 2 [n_V = 1].  For the postselected gate only the
     one-meter-photon block of U is lifted, with 4 sum_{n<cap} (n+1)^2
     permanents, and its entries equal those of gate_operator bit for bit.
     Two checks guard it, and each raises a ValueError naming the gate and
@@ -420,16 +386,16 @@ def herald_operators(
         )
     # the joint basis guards the cap for both gates, though only the
     # postselected one is lifted on it
-    joint = build_basis(4, photon_cap, modes=tuple(sorted(layout.modes())))
-    signal = build_basis(2, photon_cap, modes=tuple(sorted(layout.signal)))
+    joint = build_basis(4, photon_cap)
+    signal = build_basis(2, photon_cap)
     inside = ~signal.at_cap()
     if gate == "ideal":
-        flip = np.where(signal.counts(layout.signal_v) == 1, -1.0, 1.0)
+        flip = np.where(signal.counts(_SIGNAL_V) == 1, -1.0, 1.0)
         k_hh = np.where(inside, 1.0, 0.0).astype(complex)
         k_vv = np.where(inside, flip, 0.0).astype(complex)
     elif gate == "ppbs":
-        circuit = compose_transforms(ppbs_cz_circuit(layout))
-        is_v = np.isin(joint.modes, (layout.signal_v, layout.meter_v))
+        circuit = compose_transforms(ppbs_cz_circuit())
+        is_v = np.isin(joint.modes, (_SIGNAL_V, DEFAULT_LAYOUT.meter_v))
         cross = circuit.embed(joint.modes)[is_v[:, None] != is_v]
         mixing = float(np.max(np.abs(cross)))
         if mixing != 0.0:
@@ -437,15 +403,9 @@ def herald_operators(
                 f"gate {gate!r} does not keep polarization: circuit entry "
                 f"{mixing:.3e} between its H and V modes"
             )
-        spos = [joint.position(m) for m in signal.modes]
-        cut = []
-        for meter_mode in layout.meter:
-            for i in np.flatnonzero(inside):
-                occ = [0] * joint.num_modes
-                for p, n in zip(spos, signal.occupations[i]):
-                    occ[p] = n
-                occ[joint.position(meter_mode)] = 1
-                cut.append(joint.index_of(tuple(occ)))
+        # joint occupations (n_H, n_V, meter H, meter V), meter H first
+        cut = [joint.index_of(occ + meter) for meter in ((1, 0), (0, 1))
+               for occ, keep in zip(signal.occupations, inside) if keep]
         u = lift_mode_transform(circuit, joint, cut)
         stray = float(np.max(np.abs(u[~np.eye(len(cut), dtype=bool)])))
         if not stray <= _LIFT_ROUNDING:
@@ -486,6 +446,19 @@ def _weight_at_cap(state: State) -> float:
     return float(np.sum(np.diag(state.matrix).real[at_cap]))
 
 
+def _signal_order(
+    signal: tuple[int, int], photon_cap: int
+) -> tuple[FockBasis, list[int]]:
+    """The basis on the signal H and V modes named by ``signal`` at the cap
+    and, for each of its states, the index of the same (n_H, n_V) on the
+    fixed signal basis.  Its occupations read (n_V, n_H) when signal V sorts
+    before signal H."""
+    named = build_basis(2, photon_cap, modes=signal)
+    swap = signal[1] < signal[0]
+    return named, [named.index_of(occ[::-1] if swap else occ)
+                   for occ in named.occupations]
+
+
 def run_nla(
     signal: Union[SignalSpec, State],
     meter: Union[MeterSetting, float],
@@ -498,14 +471,16 @@ def run_nla(
 
     Applies M(phi) = (K_HH - e^{i phi} K_VV)/2 of the gate's meter
     diagonals to the signal.  A prebuilt signal state must live on the two
-    signal modes at the cap.  Returns the conditional signal state, the
+    fixed signal modes at the cap.  Returns the conditional signal state, the
     herald probability, the conditional one-photon probability of the
     signal V mode and the truncation weight: the prepared tail beyond the
     cap plus the signal weight at the cap, which has no room for the meter
-    photon.
+    photon.  The run is the same on every layout: the layout only names the
+    modes of the conditional state, whose basis then covers the layout's two
+    signal modes (see _signal_order).
     """
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
-    basis, k_hh, k_vv = herald_operators(gate, photon_cap, layout)
+    basis, k_hh, k_vv = herald_operators(gate, photon_cap)
     if isinstance(signal, (StateVector, DensityOperator)):
         if signal.basis != basis:
             raise ValueError(
@@ -517,21 +492,25 @@ def run_nla(
         spec = None
     else:
         spec = signal
-        sig_state, tail = prepare_signal(spec, photon_cap, layout=layout)
+        sig_state, tail = prepare_signal(spec, photon_cap)
     # meter (|H> + i e^{i phi} |V>)/sqrt(2) in, herald (|H> - i|V>)/sqrt(2)
     heralded = (k_hh - cmath.exp(1.0j * phi) * k_vv) / 2.0
     truncation = tail + _weight_at_cap(sig_state)
     cond, prob = apply_herald(heralded, sig_state)
     if cond is None:
         return ProtocolOutcome(None, prob, 0.0, truncation)
-    p1 = fock.occupancy_probability(cond, layout.signal_v, 1)
+    p1 = fock.occupancy_probability(cond, _SIGNAL_V, 1)
     amp_gain = None
     if isinstance(cond, StateVector) and spec is not None and spec.alpha != 0:
-        b = cond.basis
-        c0 = cond.amplitudes[b.index_of((0,) * b.num_modes)]
-        c1 = cond.amplitudes[b.index_of(int(m == layout.signal_v) for m in b.modes)]
+        c0 = cond.amplitudes[basis.index_of((0, 0))]
+        c1 = cond.amplitudes[basis.index_of((0, 1))]
         if abs(c0) > 0:
             amp_gain = complex(c1 / (c0 * spec.alpha))
+    if layout != DEFAULT_LAYOUT:
+        named, order = _signal_order(layout.signal, photon_cap)
+        cond = (StateVector(named, cond.amplitudes[order])
+                if isinstance(cond, StateVector)
+                else DensityOperator(named, cond.matrix[np.ix_(order, order)]))
     return ProtocolOutcome(cond, prob, p1, truncation, amp_gain)
 
 

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nla_weaksim.elements import DEFAULT_LAYOUT, ModeLayout
+from nla_weaksim.elements import (
+    DEFAULT_LAYOUT,
+    ModeLayout,
+    PPBSSpec,
+    ppbs,
+    vacuum_restriction,
+)
 from nla_weaksim.fock import (
     DensityOperator,
     FockBasis,
@@ -190,6 +196,21 @@ def herald_diagonals(gate, cap):
         k_hh.append(hh)
         k_vv.append(vv)
     return np.array(k_hh, dtype=complex), np.array(k_vv, dtype=complex)
+
+
+def ppbs_cz_elements(layout: ModeLayout) -> list[ModeTransform]:
+    """The postselected controlled-sign circuit placed on the modes of any
+    layout, the discard ports of its two arms on the next four modes above
+    them: an H-splitting PPBS in each arm and a V-splitting one between the
+    arms, each of transmission 1/3 on the split polarization."""
+    top = max(layout.modes())
+    aux_sig, aux_met = (top + 1, top + 2), (top + 3, top + 4)
+    arm = PPBSSpec(t_h=1.0 / 3.0, t_v=1.0)
+    return [
+        vacuum_restriction(ppbs(arm, layout.signal, aux_sig), aux_sig),
+        ppbs(PPBSSpec(t_h=1.0, t_v=1.0 / 3.0), layout.signal, layout.meter),
+        vacuum_restriction(ppbs(arm, layout.meter, aux_met), aux_met),
+    ]
 
 
 def ideal_cz(basis: FockBasis, *, layout: ModeLayout = DEFAULT_LAYOUT) -> np.ndarray:

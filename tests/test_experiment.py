@@ -23,12 +23,13 @@ from nla_weaksim.experiment import (
     visibility_experiment,
 )
 from nla_weaksim.fock import StateVector, build_basis
-from nla_weaksim.protocol import SignalSpec, truncated_coherent
+from nla_weaksim.protocol import SignalSpec, two_mode_coherent
 
 
 def test_state_size_is_vacuum_relative_odds():
-    state, _ = truncated_coherent(0.02, 3, mode=0)
-    assert state_size(state, 0) == pytest.approx(4e-4, rel=1e-12)
+    state, _ = two_mode_coherent(0.0, 0.02, 3)
+    assert state_size(state, DEFAULT_LAYOUT.signal_v) == pytest.approx(
+        4e-4, rel=1e-12)
     basis = build_basis(1, 1, modes=(0,))
     bare_photon = StateVector(basis, np.array([0.0, 1.0], dtype=complex))
     with pytest.raises(ZeroDivisionError):
@@ -107,6 +108,16 @@ def test_herald_model_validation():
         HeraldingModel(1.2)
     with pytest.raises(ValueError):
         HeraldingModel(0.35).apply(-1e-3)
+
+
+def test_herald_model_rejects_a_nan_probability():
+    with pytest.raises(ValueError, match="probability nan"):
+        HeraldingModel(0.35).apply(math.nan)
+
+
+def test_counting_model_rejects_a_nan_rate_scale():
+    with pytest.raises(ValueError, match="rate_scale nan"):
+        CountingModel(shots=10, seed=2, rate_scale=math.nan)
 
 
 def test_counting_model_validation():

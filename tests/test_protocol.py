@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from nla_weaksim import fock, protocol
+from nla_weaksim import experiment, fock, protocol
 from nla_weaksim.elements import DEFAULT_LAYOUT, ModeLayout
 from nla_weaksim.fock import DensityOperator, StateVector, TruncationError, build_basis
 from nla_weaksim.protocol import (
@@ -28,7 +28,6 @@ from nla_weaksim.protocol import (
     ppbs_cz_circuit,
     prepare_signal,
     run_nla,
-    truncated_coherent,
     two_mode_coherent,
 )
 
@@ -36,12 +35,12 @@ PHI_GRID = [math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
 
 
 def test_truncated_coherent_amplitudes_and_tail():
-    state, tail = truncated_coherent(0.1, 3, mode=0, truncation_bound=1e-3)
+    amps, tail = protocol._coherent_ladder(0.1, 3, 1e-3)
     expect = oracles.coherent_amps(0.1, 3)
-    assert np.allclose(state.amplitudes, expect, atol=1e-15)
+    assert np.allclose(amps, expect, atol=1e-15)
     assert tail == pytest.approx(4.133472e-10, rel=1e-5)
     assert tail == pytest.approx(oracles.poisson_tail(0.01, 3), rel=1e-9)
-    _, tail3 = truncated_coherent(0.3, 3, mode=0, truncation_bound=1e-3)
+    _, tail3 = protocol._coherent_ladder(0.3, 3, 1e-3)
     assert tail3 == pytest.approx(2.544115e-06, rel=1e-5)
 
 
@@ -52,7 +51,7 @@ def test_poisson_tail_is_summed_not_cancelled(mean, cap):
     would cancel to 0 or to rounding noise."""
     alpha = math.sqrt(mean)
     want = oracles.poisson_tail(abs(alpha) ** 2, cap)
-    _, tail = truncated_coherent(alpha, cap, mode=0)
+    _, tail = protocol._coherent_ladder(alpha, cap, 1e-3)
     _, tail_mixed = phase_averaged_state(alpha, cap)
     assert tail == pytest.approx(want, rel=1e-12, abs=0.0)
     assert tail_mixed == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -66,7 +65,7 @@ def test_poisson_tail_of_a_large_mean():
 
 def test_truncated_coherent_rejects_large_tail():
     with pytest.raises(TruncationError):
-        truncated_coherent(1.5, 3, mode=0, truncation_bound=1e-3)
+        protocol._coherent_ladder(1.5, 3, 1e-3)
 
 
 def test_meter_state_and_projector_overlap():
@@ -159,7 +158,7 @@ def test_herald_probability_never_exceeds_input_trace(gate, cap, phi, mixed,
                                                       data):
     # M(phi) and K_HH are blocks of the lifted gate, a contraction, between
     # unit meter states, so no herald keeps more than the input weight
-    basis, k_hh, _ = herald_operators(gate, cap, DEFAULT_LAYOUT)
+    basis, k_hh, _ = herald_operators(gate, cap)
     rank = data.draw(st.integers(1, basis.size)) if mixed else 1
     parts = [
         data.draw(arrays(float, (basis.size, rank),
@@ -309,23 +308,22 @@ def test_gate_operator_lifts_only_the_postselected_gate(gate):
         gate_operator(gate, 3)
 
 
-def _joint_gate(gate, cap, layout=DEFAULT_LAYOUT):
+def _joint_gate(gate, cap):
     """The gate on the joint basis: the production lift of the postselected
     gate, the oracle's diagonal matrix for the ideal one."""
     if gate == "ppbs":
-        return gate_operator(gate, cap, layout=layout)
-    joint = build_basis(4, cap, modes=tuple(sorted(layout.modes())))
-    return oracles.ideal_cz(joint, layout=layout)
+        return gate_operator(gate, cap)
+    return oracles.ideal_cz(build_basis(4, cap))
 
 
 def test_herald_operators_cut_the_lifted_gate():
-    basis, k_hh, k_vv = herald_operators("ideal", 3, DEFAULT_LAYOUT)
-    again = herald_operators("ideal", 3, DEFAULT_LAYOUT)
+    basis, k_hh, k_vv = herald_operators("ideal", 3)
+    again = herald_operators("ideal", 3)
     assert again[1] is k_hh and again[2] is k_vv
     for k in (k_hh, k_vv):
         assert k.shape == (basis.size,)
         assert not k.flags.writeable
-    assert basis == build_basis(2, 3, modes=tuple(sorted(DEFAULT_LAYOUT.signal)))
+    assert basis == build_basis(2, 3, modes=DEFAULT_LAYOUT.signal)
     at_cap = [i for i, n in enumerate(basis.totals()) if n == 3]
     assert not np.any(k_hh[at_cap]) and not np.any(k_vv[at_cap])
     # the ideal gate keeps the meter photon and its polarization, so the
@@ -343,7 +341,7 @@ def test_herald_operators_cut_the_lifted_gate():
     (cap, gate) for cap in range(2, 11) for gate in ("ideal", "ppbs")
 ] + [(20, "ideal"), (44, "ideal")])
 def test_herald_diagonals_match_closed_form(gate, cap):
-    basis, k_hh, k_vv = herald_operators(gate, cap, DEFAULT_LAYOUT)
+    basis, k_hh, k_vv = herald_operators(gate, cap)
     assert basis.modes == DEFAULT_LAYOUT.signal
     want_hh, want_vv = oracles.herald_diagonals(gate, cap)
     assert np.max(np.abs(k_hh - want_hh)) < 1e-12
@@ -356,7 +354,7 @@ def test_herald_diagonals_are_the_lifted_gate_meter_blocks(gate, cap):
     # cut all four meter blocks <one meter photon in a| U |one in b> out of
     # the lifted gate: the H-V blocks vanish and the others are diagonal
     lay = DEFAULT_LAYOUT
-    basis, k_hh, k_vv = herald_operators(gate, cap, lay)
+    basis, k_hh, k_vv = herald_operators(gate, cap)
     joint = build_basis(4, cap)
     u = _joint_gate(gate, cap)
     inside = [i for i, n in enumerate(basis.totals()) if n < cap]
@@ -376,13 +374,14 @@ def test_herald_diagonals_are_the_lifted_gate_meter_blocks(gate, cap):
             assert np.max(np.abs(block - want)) < 1e-12
 
 
-def _meter_cut(basis, joint, meter_mode, inside):
-    """Joint-basis indices of one meter photon in ``meter_mode`` next to each
-    signal occupation in ``inside``."""
+def _meter_cut(layout, basis, joint, meter_mode, inside):
+    """Joint-basis indices, with the modes of ``layout``, of one meter photon
+    in ``meter_mode`` next to each fixed-basis occupation (n_H, n_V) in
+    ``inside``."""
     cut = []
     for i in inside:
         occ = [0] * joint.num_modes
-        for mode, n in zip(basis.modes, basis.occupations[i]):
+        for mode, n in zip(layout.signal, basis.occupations[i]):
             occ[joint.position(mode)] = n
         occ[joint.position(meter_mode)] = 1
         cut.append(joint.index_of(tuple(occ)))
@@ -396,17 +395,32 @@ def _meter_cut(basis, joint, meter_mode, inside):
 @pytest.mark.parametrize("cap", [2, 3, 4, 5])
 def test_herald_diagonals_are_bit_equal_to_the_full_gate_cut(gate, cap,
                                                              layout):
-    # the herald lifts only its block (or, for the ideal gate, writes it in
-    # closed form); the same entries of the full gate hold the same bits
-    basis, k_hh, k_vv = herald_operators(gate, cap, layout)
-    joint = build_basis(4, cap, modes=tuple(sorted(layout.modes())))
-    u = _joint_gate(gate, cap, layout)
+    # the gate is rebuilt from elements on the layout's four modes, with the
+    # discard ports above them, and lifted whole.  Its one-meter-photon
+    # diagonals hold the bits of a block lift on the same embedding, and on
+    # the fixed modes those of the herald, which lifts only its block (or,
+    # for the ideal gate, writes it in closed form).  On other embeddings
+    # the permanents see reordered rows and columns and round apart from
+    # the herald, within 1e-12.
+    basis, k_hh, k_vv = herald_operators(gate, cap)
+    joint = build_basis(4, cap, modes=layout.modes())
+    if gate == "ppbs":
+        circuit = fock.compose_transforms(oracles.ppbs_cz_elements(layout))
+        u = fock.lift_mode_transform(circuit, joint)
+    else:
+        u = oracles.ideal_cz(joint, layout=layout)
     inside = np.flatnonzero(np.array(basis.totals()) < cap)
     for meter_mode, k in zip(layout.meter, (k_hh, k_vv)):
-        cut = _meter_cut(basis, joint, meter_mode, inside)
+        cut = _meter_cut(layout, basis, joint, meter_mode, inside)
         want = np.zeros(basis.size, dtype=complex)
         want[inside] = u[cut, cut]
-        assert np.array_equal(k, want)
+        if gate == "ppbs":
+            block = fock.lift_mode_transform(circuit, joint, cut)
+            assert np.array_equal(block.diagonal(), want[inside])
+        if layout == DEFAULT_LAYOUT:
+            assert np.array_equal(k, want)
+        else:
+            assert np.max(np.abs(k - want)) < 1e-12
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4])
@@ -421,11 +435,44 @@ def test_cold_herald_lifts_only_its_block(cap, monkeypatch):
         return permanent(a)
 
     monkeypatch.setattr(fock, "permanent", counted)
-    monkeypatch.setattr(protocol, "_gate_operator", functools.lru_cache(
-        maxsize=None)(protocol._gate_operator.__wrapped__))
-    herald_operators.__wrapped__("ppbs", cap, ModeLayout(5, 2, 11, 0))
+    monkeypatch.setattr(protocol, "gate_operator", functools.lru_cache(
+        maxsize=None)(protocol.gate_operator.__wrapped__))
+    herald_operators.__wrapped__("ppbs", cap)
     assert len(calls) == 4 * sum((n + 1) ** 2 for n in range(cap))
-    assert protocol._gate_operator.cache_info().currsize == 0
+    assert protocol.gate_operator.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("layout", [ModeLayout(11, 12, 5, 6),
+                                    ModeLayout(5, 2, 11, 0)],
+                         ids=["shifted", "swapped"])
+def test_a_layout_only_names_the_modes_of_the_output(layout):
+    # the library contract of the benchmark's cold-gate op: on any layout the
+    # run is the default one, its conditional state carried onto the
+    # layout's signal modes, and one herald serves every layout
+    herald_operators.cache_clear()
+    for spec in (SignalSpec("coherent", 0.02),
+                 SignalSpec("phase_averaged", 0.02, loss=0.3)):
+        base = run_nla(spec, MeterSetting(1.1), photon_cap=4)
+        out = run_nla(spec, MeterSetting(1.1), photon_cap=4, layout=layout)
+        ref, cond = base.conditional_state, out.conditional_state
+        assert cond.basis.modes == tuple(sorted(layout.signal))
+        h, v = (cond.basis.position(m) for m in layout.signal)
+        order = [ref.basis.index_of((occ[h], occ[v]))
+                 for occ in cond.basis.occupations]
+        if isinstance(cond, StateVector):
+            assert cond.amplitudes.tobytes() == ref.amplitudes[order].tobytes()
+        else:
+            got, want = cond.matrix, ref.matrix[np.ix_(order, order)]
+            assert got.tobytes() == want.tobytes()
+        for field in ("herald_probability", "p1_out", "truncation_weight",
+                      "amplitude_gain"):
+            assert getattr(out, field) == getattr(base, field)
+        assert experiment.measure_input_size(
+            spec, photon_cap=4, layout=layout
+        ) == experiment.measure_input_size(spec, photon_cap=4)
+        assert experiment.state_size(cond, layout.signal_v) == \
+            experiment.state_size(ref, DEFAULT_LAYOUT.signal_v)
+    assert herald_operators.cache_info().currsize == 1
 
 
 def test_herald_operators_reject_a_gate_that_mixes_polarization(monkeypatch):
@@ -433,14 +480,14 @@ def test_herald_operators_reject_a_gate_that_mixes_polarization(monkeypatch):
     # the meter blocks are no longer diagonal
     circuit = protocol.ppbs_cz_circuit
 
-    def mixing_circuit(layout):
-        return circuit(layout) + [oracles.hwp(math.pi / 8, layout.signal)]
+    def mixing_circuit():
+        return circuit() + [oracles.hwp(math.pi / 8, DEFAULT_LAYOUT.signal)]
 
     monkeypatch.setattr(protocol, "ppbs_cz_circuit", mixing_circuit)
     herald_operators.cache_clear()
     try:
         with pytest.raises(ValueError, match="'ppbs'.*e-"):
-            herald_operators("ppbs", 3, DEFAULT_LAYOUT)
+            herald_operators("ppbs", 3)
     finally:
         herald_operators.cache_clear()
 
@@ -450,18 +497,18 @@ def test_herald_lift_check_has_a_rounding_budget(monkeypatch):
     # the lifted block; they pass within the budget and fail beyond it
     permanent = fock.permanent
     monkeypatch.setattr(fock, "permanent", lambda a: permanent(a) + 2e-12)
-    _, k_hh, k_vv = herald_operators.__wrapped__("ppbs", 4, DEFAULT_LAYOUT)
+    _, k_hh, k_vv = herald_operators.__wrapped__("ppbs", 4)
     want_hh, want_vv = oracles.herald_diagonals("ppbs", 4)
     assert np.max(np.abs(k_hh - want_hh)) < 1e-11
     assert np.max(np.abs(k_vv - want_vv)) < 1e-11
     monkeypatch.setattr(fock, "permanent", lambda a: permanent(a) + 1e-6)
     with pytest.raises(ValueError, match="'ppbs'.*off the diagonal"):
-        herald_operators.__wrapped__("ppbs", 4, DEFAULT_LAYOUT)
+        herald_operators.__wrapped__("ppbs", 4)
 
 
 def test_run_rejects_low_cap_and_foreign_basis():
     with pytest.raises(ValueError):
-        herald_operators("ppbs", 1, DEFAULT_LAYOUT)
+        herald_operators("ppbs", 1)
     with pytest.raises(ValueError):
         run_nla(SignalSpec("qubit_truncated", 0.5, loss=0.5), MeterSetting(1.1),
                 photon_cap=1)
@@ -487,7 +534,7 @@ def test_two_photon_meter_events_fail_quietly():
     # can leave both photons in one arm; with no single meter photon those
     # outcomes never herald
     lay = DEFAULT_LAYOUT
-    basis, _, k_vv = herald_operators("ppbs", 2, lay)
+    basis, _, k_vv = herald_operators("ppbs", 2)
     joint = build_basis(4, 2)
     occ_in = [0, 0, 0, 0]
     occ_in[lay.signal_v] = 1
@@ -518,11 +565,13 @@ def test_phase_insensitivity(theta):
 @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ModeLayout(1, 0, 2, 3)],
                          ids=["default", "swapped"])
 def test_phase_averaged_diagonal_equals_the_per_n_loop(layout):
+    # on a layout, in the order in which run_nla names its output modes
     for cap in (2, 3, 5):
+        basis, order = protocol._signal_order(layout.signal, cap)
+        vpos = basis.position(layout.signal_v)
         for alpha in (0.0, 0.03, 0.2 + 0.1j, 1.5):
-            rho, _ = phase_averaged_state(alpha, cap, layout=layout)
-            basis = rho.basis
-            vpos = basis.position(layout.signal_v)
+            rho, _ = phase_averaged_state(alpha, cap)
+            got = rho.matrix[np.ix_(order, order)]
             mean = abs(alpha) ** 2
             want = np.zeros((basis.size, basis.size), dtype=complex)
             for n in range(cap + 1):
@@ -531,8 +580,8 @@ def test_phase_averaged_diagonal_equals_the_per_n_loop(layout):
                 want[basis.index_of(tuple(occ)), basis.index_of(tuple(occ))] = (
                     math.exp(-mean) * mean**n / math.factorial(n)
                 )
-            assert rho.matrix.dtype == want.dtype
-            assert rho.matrix.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 def test_phase_averaged_equals_quadrature_average():
@@ -591,24 +640,27 @@ _SPREAD = ModeLayout(5, 2, 11, 0)  # signal H sorts after signal V
                          ids=["default", "spread"])
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
 def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout):
-    # the gathered product holds the bits of the pair loop, and the weight
-    # over the cap adds the same terms in the same order
+    # the gathered product, in the order in which run_nla names the layout's
+    # output modes, holds the bits of the pair loop on those modes, and the
+    # weight over the cap adds the same terms in the same order
     rng = np.random.default_rng(cap)
     pairs = [(0.0, 0.3 + 0.2j), (0.0, 0.0), (0.25 - 0.1j, 0.3 + 0.2j),
              (-0.4j, 0.15), (0.2, -0.35 - 0.05j), (0.3 + 0.3j, 0.0)]
     pairs += [tuple(complex(*z) for z in 0.4 * rng.normal(size=(2, 2)))
               for _ in range(6)]
+    basis, order = protocol._signal_order(layout.signal, cap)
     for alpha_h, alpha_v in pairs:
-        h, tail_h = truncated_coherent(alpha_h, cap, mode=layout.signal_h,
-                                       truncation_bound=1.0)
-        v, tail_v = truncated_coherent(alpha_v, cap, mode=layout.signal_v,
-                                       truncation_bound=1.0)
+        amps_h, tail_h = protocol._coherent_ladder(alpha_h, cap, 1.0)
+        amps_v, tail_v = protocol._coherent_ladder(alpha_v, cap, 1.0)
+        h, v = (StateVector(build_basis(1, cap, modes=(mode,)), amps)
+                for mode, amps in zip(layout.signal, (amps_h, amps_v)))
         want, dropped = oracles.tensor(h, v, photon_cap=cap)
-        state, weight = two_mode_coherent(alpha_h, alpha_v, cap, layout=layout,
+        state, weight = two_mode_coherent(alpha_h, alpha_v, cap,
                                           truncation_bound=1.0)
-        assert state.basis == want.basis
-        assert np.array_equal(state.amplitudes, want.amplitudes)
-        assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+        got = state.amplitudes[order]
+        assert basis == want.basis
+        assert np.array_equal(got, want.amplitudes)
+        assert got.tobytes() == want.amplitudes.tobytes()
         assert weight == tail_h + tail_v + dropped
         if alpha_h == 0.0:
             assert dropped == 0.0
@@ -624,9 +676,12 @@ def test_two_mode_coherent_bounds_both_tails():
                          ids=["default", "spread"])
 @pytest.mark.parametrize("cap", [2, 3, 4, 5])
 def test_ideal_cz_matches_the_basis_loop(cap, layout):
-    # the closed-form diagonals hold the bits of a loop over the signal
-    # basis, +0 at the cap included
-    basis, k_hh, k_vv = herald_operators("ideal", cap, layout)
+    # the closed-form diagonals, in the order in which run_nla names the
+    # layout's output modes, hold the bits of a loop over the basis on those
+    # modes, +0 at the cap included
+    _, k_hh, k_vv = herald_operators("ideal", cap)
+    basis, order = protocol._signal_order(layout.signal, cap)
+    k_hh, k_vv = k_hh[order], k_vv[order]
     sv = basis.position(layout.signal_v)
     want_hh = np.zeros(basis.size, dtype=complex)
     want_vv = np.zeros(basis.size, dtype=complex)
@@ -644,7 +699,7 @@ def test_ideal_herald_builds_no_joint_matrix():
     # (53 MB); the closed form needs only the 91 signal states
     tracemalloc.start()
     try:
-        herald_operators.__wrapped__("ideal", 12, DEFAULT_LAYOUT)
+        herald_operators.__wrapped__("ideal", 12)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -674,16 +729,14 @@ def test_signal_spec_validation():
 
 
 def test_ladders_past_170_are_finite_and_keep_the_closed_form_below():
-    state, tail = truncated_coherent(0.1, 171)
-    amps = state.amplitudes
+    amps, tail = protocol._coherent_ladder(0.1, 171, 1e-3)
     assert np.all(np.isfinite(amps)) and tail == 0.0
     pref = math.exp(-0.01 / 2.0)
     assert amps[:171].tolist() == [
         complex(pref * 0.1**n / math.sqrt(math.factorial(n))) for n in range(171)
     ]
     # past 170 each term is the last one times alpha / sqrt(n)
-    big, _ = truncated_coherent(8.0, 300, truncation_bound=1e-12)
-    a = big.amplitudes
+    a, _ = protocol._coherent_ladder(8.0, 300, 1e-12)
     assert np.all(np.isfinite(a))
     past = np.arange(171, 175)
     assert a[171:175] == pytest.approx(a[170:174] * 8.0 / np.sqrt(past), rel=1e-15)
@@ -720,4 +773,4 @@ def test_ladders_continue_where_the_closed_form_power_overflows():
     assert amps.shape == (6001,) and not np.any(amps) and tail == 1.0
     for alpha in (70 + 0j, 70):
         with pytest.raises(TruncationError, match="beyond cap 6000"):
-            truncated_coherent(alpha, 6000)
+            protocol._coherent_ladder(alpha, 6000, 1e-3)
