@@ -479,6 +479,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
 _shared_parser = lru_cache(maxsize=1)(build_parser)
 
 
+def _parse_tree(parser: argparse.ArgumentParser,
+                sub: argparse._SubParsersAction,
+                args: list[str]) -> argparse.Namespace:
+    """parser.parse_args(args), through the subcommand's own parser when
+    args[0] names one.
+
+    The full tree hands the same args[1:] to that parser; its own pass only
+    classifies the strings.  No args, help, an unknown command or leftover
+    strings go through the full tree, so argparse writes its own usage and
+    error text.
+    """
+    sp = sub.choices.get(args[0]) if args else None
+    if sp is not None:
+        ns, extra = sp.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
+        if not extra:
+            return ns
+    return parser.parse_args(args)
+
+
 def _parse(args: list[str]) -> argparse.Namespace:
     """Namespace of the command line, over --config defaults when given.
 
@@ -487,8 +506,7 @@ def _parse(args: list[str]) -> argparse.Namespace:
     group on the command line replaces the config's values for the whole
     group.
     """
-    parser, sub = _shared_parser()
-    ns = parser.parse_args(args)
+    ns = _parse_tree(*_shared_parser(), args)
     if not ns.config:
         return ns
     cfg = _load_config(ns.config)
@@ -504,7 +522,7 @@ def _parse(args: list[str]) -> argparse.Namespace:
             skip |= dests
     valid = {a.dest for a in sp._actions}
     sp.set_defaults(**{k: v for k, v in cfg.items() if k in valid and k not in skip})
-    return parser.parse_args(args)
+    return _parse_tree(parser, sub, args)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -525,7 +543,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, TruncationError, BasisSizeError) as exc:
+    except TruncationError as exc:
+        print(f"error: {exc}; raise --cap", file=sys.stderr)
+        return 2
+    except (ValueError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InfiniteGainError, NumericalFailure, ZeroDivisionError,

@@ -113,7 +113,6 @@ class FringeScan:
     phase_points: list[float]
     rates: list[float]
     counts: Optional[list[int]]
-    errors: Optional[list[float]]
     fit: VisibilityFit
     classical_bound: float
 
@@ -438,7 +437,6 @@ def visibility_experiment(
         )
         values, sigmas = rates, None
         counts_list: Optional[list[int]] = None
-        errors_list: Optional[list[float]] = None
         if counting is not None and counting.enabled:
             counts, errors, _ = simulate_counts(rates, counting, stream=stream)
             scale = counting.rate_scale * counting.shots
@@ -446,7 +444,6 @@ def visibility_experiment(
             sigmas = np.where(errors > 0, errors / scale,
                               np.max(errors) / scale + 1e-30)
             counts_list = [int(c) for c in counts]
-            errors_list = [float(e) for e in errors]
         try:
             fit = _fit_fringe(thetas, values, sigmas)
         except ZeroDivisionError as exc:
@@ -457,7 +454,6 @@ def visibility_experiment(
             phase_points=[float(t) for t in thetas],
             rates=[float(r) for r in rates],
             counts=counts_list,
-            errors=errors_list,
             fit=fit,
             classical_bound=classical_visibility_bound(nominal_g2),
         ))

@@ -10,6 +10,8 @@ import csv
 import io as _io
 import json
 import math
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .experiment import SweepResult
@@ -55,7 +57,42 @@ def json_text(result: SweepResult, config: Optional[dict] = None) -> str:
         "columns": result.columns,
         "rows": [[_jsonable(v) for v in row] for row in result.rows],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_block(doc, 0) + "\n"
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(level: int) -> json.JSONEncoder:
+    """C encoder of a container at the given depth whose items are all
+    scalars: its items come out separated as indent=2 puts them."""
+    return json.JSONEncoder(sort_keys=True,
+                            separators=(",\n" + "  " * (level + 1), ": "))
+
+
+def _json_block(obj: object, level: int) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for str dict keys, written
+    at the given depth.
+
+    With an indent, json.dumps runs its pure-Python encoder; each container
+    whose items are all scalars goes to the C encoder here instead.
+    """
+    if isinstance(obj, dict):
+        brackets, items = "{}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, items = "[]", obj
+    else:
+        return _flat_encoder(level).encode(obj)
+    if not obj:
+        return brackets
+    if any(isinstance(v, (dict, list, tuple)) for v in items):
+        sep = ",\n" + "  " * (level + 1)
+        if isinstance(obj, dict):
+            body = sep.join(f"{encode_basestring_ascii(k)}: {_json_block(v, level + 1)}"
+                            for k, v in sorted(obj.items()))
+        else:
+            body = sep.join(_json_block(v, level + 1) for v in obj)
+    else:
+        body = _flat_encoder(level).encode(obj)[1:-1]
+    return f"{brackets[0]}\n{'  ' * (level + 1)}{body}\n{'  ' * level}{brackets[1]}"
 
 
 _W, _H = 640, 420

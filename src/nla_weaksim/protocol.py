@@ -183,7 +183,7 @@ def _coherent_ladder(
     if tail > truncation_bound:
         raise fock.TruncationError(
             f"coherent tail {tail:.3e} beyond cap {cap} exceeds bound "
-            f"{truncation_bound:.3e}; raise the cap or the bound"
+            f"{truncation_bound:.3e}"
         )
     return amps, tail
 
@@ -224,19 +224,13 @@ def _poisson_weights(mean: float, cap: int) -> np.ndarray:
     ))
 
 
-def _pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The products h[i] v[j], formed from the float parts, +0 where a
-    factor is 0.
+def _pair_products(h: np.ndarray, v: np.ndarray) -> list[list[complex]]:
+    """The products h[i] v[j] as Python scalar complex products, row i
+    holding h[i]'s, +0 where a factor is 0.
 
-    This rounds as numpy's scalar complex product does; the array product
-    can differ from it in the last bit.
+    The array product can differ from the scalar one in the last bit.
     """
-    hr, hi = h.real[:, None], h.imag[:, None]
-    out = np.empty((h.size, v.size), dtype=complex)
-    out.real = hr * v.real - hi * v.imag
-    out.imag = hr * v.imag + hi * v.real
-    out[(h == 0)[:, None] | (v == 0)] = 0
-    return out
+    return [[x * y if x and y else 0j for y in v.tolist()] for x in h.tolist()]
 
 
 def two_mode_coherent(
@@ -256,12 +250,12 @@ def two_mode_coherent(
     v, tail_v = _coherent_ladder(alpha_v, photon_cap, truncation_bound)
     basis = build_basis(2, photon_cap)
     pairs = _pair_products(h, v)
-    amps = pairs[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)]
-    ladder = np.arange(photon_cap + 1)
+    amps = np.array(pairs)[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)]
     dropped = 0.0
     # scalar moduli: numpy's array hypot can differ from them in the last bit
-    for p in pairs[ladder[:, None] + ladder > photon_cap].tolist():
-        dropped += abs(p) ** 2
+    for n_h, row in enumerate(pairs):
+        for p in row[photon_cap + 1 - n_h:]:
+            dropped += abs(p) ** 2
     return StateVector(basis, amps), tail_h + tail_v + dropped
 
 

@@ -5,8 +5,9 @@ complex amplitudes and deliberately avoids the package's permanent-based code
 paths, so the two implementations can be compared against each other.  The
 last section holds the loop-based routes that only tests need: splitters and
 waveplates as mode transforms, partial traces, a density-matrix check,
-loss as an explicit Kraus sum and as a term-by-term pair table, and the
-pair-loop tensor product of pure states.
+loss as an explicit Kraus sum and as a term-by-term pair table, the
+pair-loop tensor product of pure states, and the pair products of two
+ladders formed from their float parts.
 """
 
 from __future__ import annotations
@@ -467,3 +468,18 @@ def tensor(
             else:
                 discarded += abs(va * vb) ** 2
     return StateVector(basis, amps), discarded
+
+
+def pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The products h[i] v[j], formed from the float parts, +0 where a
+    factor is 0.
+
+    This rounds as a scalar complex product does; numpy's array product
+    can differ from it in the last bit.
+    """
+    hr, hi = h.real[:, None], h.imag[:, None]
+    out = np.empty((h.size, v.size), dtype=complex)
+    out.real = hr * v.real - hi * v.imag
+    out.imag = hr * v.imag + hi * v.real
+    out[(h == 0)[:, None] | (v == 0)] = 0
+    return out

@@ -3,9 +3,11 @@
 import csv
 import json
 import math
+import shlex
 import warnings
 
 import pytest
+from test_readme import _readme_commands
 
 from nla_weaksim import cli, protocol
 from nla_weaksim.cli import ConfigError, main, parse_grid
@@ -289,6 +291,52 @@ def test_stdout_when_no_output(capsys):
 def test_unknown_command_exits_two():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
+
+
+def _full_tree(parser, sub, args):
+    return parser.parse_args(args)
+
+
+@pytest.mark.parametrize("args", [
+    *(shlex.split(line)[1:] for line in _readme_commands()),
+    ["protocol", "--gain", "3"], ["gain-sweep"], ["gain-vs-phi"],
+    ["visibility"],
+    ["protocol", "--config", "cfg.json", "--gain", "5"],
+    ["protocol", "--phi", "1", "--gain", "3"],
+    ["protocol", "--gain", "3", "--cap", "x"],
+    ["protocol", "--gain", "3", "--bogus", "1"],
+    ["protocol", "--gain", "3", "stray"],
+    ["protocol", "--", "--gain", "3"],
+    [], ["-h"], ["protocol", "-h"], ["frobnicate"],
+], ids=lambda args: " ".join(args) or "no-args")
+def test_parse_route_matches_the_full_tree(args, tmp_path, monkeypatch, capsys):
+    # the subcommand's own parser must leave every output as the full tree's
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    assert main(["protocol", "--gain", "3", "--alpha2", "5e-4", "--loss", "0.1",
+                 "--output", "cfg.json"]) == 0
+
+    def outcome():
+        code = main(list(args))
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+        return code, captured.out, captured.err, files
+
+    routed = outcome()
+    monkeypatch.setattr(cli, "_parse_tree", _full_tree)
+    assert outcome() == routed
+
+
+@pytest.mark.parametrize("args", [
+    ["protocol", "--gain", "3", "--alpha2", "5", "--cap", "4"],
+    ["visibility", "--alpha", "3", "--cap", "4"],
+], ids=["protocol", "visibility"])
+def test_truncation_names_the_cap_option(args, capsys):
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coherent tail ")
+    assert captured.err.endswith("; raise --cap\n")
 
 
 def test_cap_validation():

@@ -666,6 +666,28 @@ def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout):
             assert dropped == 0.0
 
 
+@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7, 8])
+def test_pair_products_match_the_float_part_oracle(cap):
+    # scalar complex products round as the float-part formulas do, and a
+    # zero factor gives +0 whatever the signs of the other's parts
+    rng = np.random.default_rng(100 + cap)
+    ladders = []
+    for _ in range(20):
+        h, v = (rng.normal(size=cap + 1) + 1j * rng.normal(size=cap + 1)
+                for _ in range(2))
+        h[rng.random(cap + 1) < 0.3] *= 0
+        v[rng.random(cap + 1) < 0.3] *= 0
+        ladders.append((h, v))
+    for g2 in (2.0, 3.0, 4.0, 5.0):
+        for mag in (0.0015, 0.3):
+            ladders.append(tuple(protocol._coherent_ladder(a, cap, 1.0)[0]
+                                 for a in (math.sqrt(g2) * mag, mag)))
+    for h, v in ladders:
+        got = np.array(protocol._pair_products(h, v))
+        assert got.dtype == complex
+        assert got.tobytes() == oracles.pair_products(h, v).tobytes()
+
+
 def test_two_mode_coherent_bounds_both_tails():
     for alpha_h, alpha_v in ((1.5, 0.0), (0.0, 1.5)):
         with pytest.raises(TruncationError, match="beyond cap 3"):
