@@ -21,15 +21,18 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="results", type=Path)
     ap.add_argument("--epsilon", default=0.35, type=float)
-    ap.add_argument("--shots", default=10**9, type=int)
+    ap.add_argument("--shots", default=10**9, type=int,
+                    help="0 turns counting noise off")
     ap.add_argument("--seed", default=20260814, type=int)
     ap.add_argument("--rate-scale", default=100.0, type=float)
     args = ap.parse_args()
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     herald = HeraldingModel(args.epsilon)
-    counting = CountingModel(shots=args.shots, seed=args.seed,
-                             rate_scale=args.rate_scale)
+    counting = None
+    if args.shots:
+        counting = CountingModel(shots=args.shots, seed=args.seed,
+                                 rate_scale=args.rate_scale)
     sweep = gain_sweep(GAINS, INPUTS, herald=herald, counting=counting)
 
     csv_path = args.outdir / "gain_curves.csv"

@@ -499,30 +499,41 @@ def _parse_tree(parser: argparse.ArgumentParser,
 
 
 def _parse(args: list[str]) -> argparse.Namespace:
-    """Namespace of the command line, over --config defaults when given.
+    """Namespace of the command line, over --config values when given.
 
-    A config file's values become the defaults of a tree of its own, so
-    explicit flags still override them.  A flag of a mutually exclusive
-    group on the command line replaces the config's values for the whole
-    group.
+    Each config value becomes `--opt=value` (true the bare flag; false and
+    null are skipped) ahead of the command line's options, and all of it
+    goes once more through the same tree, so argparse checks the file's
+    values as it does flags and the later, explicit flags override them.  A
+    command-line flag of a mutually exclusive group drops the config's
+    values for that group.  Keys of no option, and non-string values of
+    string options, are a ConfigError.
     """
     ns = _parse_tree(*_shared_parser(), args)
     if not ns.config:
         return ns
     cfg = _load_config(ns.config)
-    cmd = cfg.get("command")
-    if cmd is not None and cmd != ns.command:
+    if (cmd := cfg.pop("command", None)) not in (None, ns.command):
         raise ConfigError(f"config is for command {cmd!r}, not {ns.command!r}")
-    parser, sub = build_parser()
+    parser, sub = _shared_parser()
     sp = sub.choices[ns.command]
-    skip = set(CONFIG_EXCLUDE)
     for grp in sp._mutually_exclusive_groups:
         dests = {a.dest for a in grp._group_actions}
         if any(getattr(ns, d) is not None for d in dests):
-            skip |= dests
-    valid = {a.dest for a in sp._actions}
-    sp.set_defaults(**{k: v for k, v in cfg.items() if k in valid and k not in skip})
-    return _parse_tree(parser, sub, args)
+            cfg = {k: v for k, v in cfg.items() if k not in dests}
+    # help leaves no attribute, so a config cannot ask for it
+    actions = {a.dest: a for a in sp._actions if hasattr(ns, a.dest)}
+    flags = []
+    for key, value in cfg.items():
+        act = actions.get(key)
+        if key in CONFIG_EXCLUDE or act is not None and (value is None or value is False):
+            continue
+        if act is None or not (isinstance(value, (str, bool)) or act.type):
+            raise ConfigError(f"config {key}={value!r} is no value of a "
+                              f"{ns.command} option")
+        opt = act.option_strings[-1]
+        flags.append(opt if value is True else f"{opt}={value}")
+    return _parse_tree(parser, sub, [*args[:1], *flags, *args[1:]])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

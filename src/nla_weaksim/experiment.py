@@ -63,28 +63,24 @@ class HeraldingModel:
 
 @dataclass(frozen=True)
 class CountingModel:
-    """Poissonian counting for a run of `shots` trials.
+    """Poissonian counting for a run of `shots` >= 1 trials.
 
-    shots = 0 disables sampling.  rate_scale multiplies probabilities before
-    drawing, standing in for duty cycle and collection efficiency.  The seed
-    is required once shots > 0 so runs are reproducible.
+    rate_scale multiplies probabilities before drawing, standing in for duty
+    cycle and collection efficiency.  The seed makes runs reproducible.  A
+    run without counting passes no model (None).
     """
 
-    shots: int = 0
-    seed: Optional[int] = None
+    shots: int
+    seed: int
     rate_scale: float = 1.0
 
     def __post_init__(self):
-        if self.shots < 0:
-            raise ValueError(f"shots {self.shots} negative")
-        if self.shots > 0 and self.seed is None:
-            raise ValueError("seed is required when shots > 0")
+        if not self.shots >= 1:
+            raise ValueError(f"shots {self.shots} not positive")
+        if self.seed is None:
+            raise ValueError("seed is required")
         if not self.rate_scale > 0.0:
             raise ValueError(f"rate_scale {self.rate_scale} not positive")
-
-    @property
-    def enabled(self) -> bool:
-        return self.shots > 0
 
 
 @dataclass
@@ -163,29 +159,20 @@ def simulate_counts(
     counting: CountingModel,
     *,
     stream: int = 0,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Poisson draws for each probability with per-entry RNG streams.
+) -> np.ndarray:
+    """Poisson counts for each probability with per-entry RNG streams.
 
     Each entry uses default_rng((seed, stream, index)) so results do not
-    depend on evaluation order and stay reproducible byte-for-byte.  Returns
-    (counts, sqrt-count errors, zero_flag); a zero draw contributes zero
-    error and raises the flag.
+    depend on evaluation order and stay reproducible byte-for-byte.
     """
     counts = np.zeros(len(probabilities), dtype=np.int64)
-    errors = np.zeros(len(probabilities), dtype=float)
-    zero_flag = False
     for i, p in enumerate(probabilities):
         lam = p * counting.rate_scale * counting.shots
         if lam > COUNT_OVERFLOW:
             raise OverflowError(f"expected count {lam:.3e} too large to sample")
         rng = np.random.default_rng((counting.seed, stream, i))
-        c = int(rng.poisson(lam))
-        counts[i] = c
-        if c > 0:
-            errors[i] = math.sqrt(c)
-        else:
-            zero_flag = True
-    return counts, errors, zero_flag
+        counts[i] = rng.poisson(lam)
+    return counts
 
 
 def _sampled_gain(counts: np.ndarray) -> tuple[float, float]:
@@ -264,19 +251,19 @@ def _sweep(
             input_true, input_measured, output_ideal, output_model,
             out.herald_probability, out.truncation_weight,
         ]
-        if counting is not None and counting.enabled:
+        if counting is not None:
             p0_out = 1.0 / (1.0 + output_model)
             coinc_out = out.herald_probability * output_model * p0_out
             singles_out = out.herald_probability * p0_out
             p0_in = 1.0 / (1.0 + input_measured)
             coinc_in = input_measured * p0_in
             singles_in = p0_in
-            counts, _, zero = simulate_counts(
+            counts = simulate_counts(
                 [coinc_out, singles_out, coinc_in, singles_in], counting,
                 stream=stream,
             )
             gain_sampled, gain_err = _sampled_gain(counts)
-            flag = "zero_count" if zero else ""
+            flag = "zero_count" if 0 in counts else ""
             row += [int(c) for c in counts] + [gain_sampled, gain_err, flag]
         else:
             row += [0, 0, 0, 0, math.nan, math.nan, ""]
@@ -437,8 +424,9 @@ def visibility_experiment(
         )
         values, sigmas = rates, None
         counts_list: Optional[list[int]] = None
-        if counting is not None and counting.enabled:
-            counts, errors, _ = simulate_counts(rates, counting, stream=stream)
+        if counting is not None:
+            counts = simulate_counts(rates, counting, stream=stream)
+            errors = np.sqrt(counts)
             scale = counting.rate_scale * counting.shots
             values = counts / scale
             sigmas = np.where(errors > 0, errors / scale,

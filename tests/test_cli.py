@@ -1,5 +1,6 @@
 """Command line interface: grids, formats, exit codes, reproducibility."""
 
+import argparse
 import csv
 import json
 import math
@@ -225,6 +226,74 @@ def test_config_command_mismatch(tmp_path, capsys):
 
 def test_config_missing_file():
     assert main(["gain-sweep", "--config", "/nonexistent/path.json"]) == 2
+
+
+_REPLAYED = {
+    "protocol": ["protocol", "--phi", "-60", "--degrees", "--alpha2", "3e-4",
+                 "--loss", "0.2", "--cap", "4"],
+    "gain-sweep": ["gain-sweep", "--gains", "2,5", "--inputs", "1e-5:1e-3:log3",
+                   "--shots", "1000000000", "--seed", "7", "--rate-scale", "100",
+                   "--epsilon", "0.2", "--convention", "true"],
+    "gain-vs-phi": ["gain-vs-phi", "--inputs", "3e-4", "--phis", "20:160:lin4",
+                    "--degrees", "--shots", "100000000", "--seed", "3"],
+    "visibility": ["visibility", "--gains", "2,4", "--points", "8", "--bias", "3",
+                   "--shots", "10000000", "--seed", "12", "--rate-scale", "1e4"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REPLAYED))
+def test_config_replays_every_command_byte_for_byte(command, tmp_path):
+    args = _REPLAYED[command]
+    first, replay = tmp_path / "first.json", tmp_path / "replay.json"
+    assert main(args + ["--format", "json", "--output", str(first)]) == 0
+    assert main([command, "--config", str(first), "--output", str(replay)]) == 0
+    assert replay.read_bytes() == first.read_bytes()
+    # a flag after the config overrides its value, as on the command line
+    direct, over = tmp_path / "direct.csv", tmp_path / "over.csv"
+    assert main(args + ["--cap", "5", "--format", "csv",
+                        "--output", str(direct)]) == 0
+    assert main([command, "--config", str(first), "--cap", "5", "--format", "csv",
+                 "--output", str(over)]) == 0
+    assert over.read_bytes() == direct.read_bytes()
+
+
+@pytest.mark.parametrize("command, config", [
+    ("protocol", {"gain": 3, "cap": 4.5}),
+    ("gain-sweep", {"gains": 3}),
+    ("gain-sweep", {"shots": 2.5, "seed": 1}),
+    ("protocol", {"gain": 3, "degrees": "yes"}),
+    ("protocol", {"phi": 1.0, "gain": 3}),
+    ("protocol", {"gain": 3, "bogus": 1}),
+    # a prefix of --gain, which argparse would take for it on a command line
+    ("protocol", {"gain": 3, "gai": 6}),
+    # an option of another command
+    ("protocol", {"gain": 3, "shots": 10}),
+    ("protocol", {"gain": 3, "help": True}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_bad_config_values_exit_two(command, config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": command, **config}))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: " in captured.err
+    assert "show this help message" not in captured.err
+
+
+def test_config_parses_with_the_one_shared_tree(tmp_path, monkeypatch):
+    first = tmp_path / "first.json"
+    assert main(["protocol", "--gain", "3", "--output", str(first)]) == 0
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a parser was built or changed after the first")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    monkeypatch.setattr(argparse.ArgumentParser, "set_defaults", rebuilt)
+    assert main(["protocol", "--config", str(first), "--cap", "4",
+                 "--output", str(tmp_path / "second.json")]) == 0
+    assert main(["gain-sweep", "--gains", "3", "--inputs", "1e-5",
+                 "--output", str(tmp_path / "third.csv")]) == 0
+    assert cli._shared_parser.cache_info().misses == 1
 
 
 def test_svg_output(tmp_path):
