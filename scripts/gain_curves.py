@@ -26,6 +26,8 @@ def main():
     ap.add_argument("--seed", default=20260814, type=int)
     ap.add_argument("--rate-scale", default=100.0, type=float)
     args = ap.parse_args()
+    if args.shots < 0:
+        ap.error(f"--shots {args.shots} is negative; 0 turns counting noise off")
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     herald = HeraldingModel(args.epsilon)

@@ -133,7 +133,9 @@ def _emit(text: str, path: Optional[Path]) -> None:
 
 
 def _counting(ns: argparse.Namespace) -> Optional[CountingModel]:
-    if ns.shots <= 0:
+    if ns.shots < 0:
+        raise ConfigError(f"--shots {ns.shots} is negative; 0 disables sampling")
+    if ns.shots == 0:
         return None
     if ns.seed is None:
         raise ConfigError("--seed is required when --shots > 0")
@@ -141,7 +143,9 @@ def _counting(ns: argparse.Namespace) -> Optional[CountingModel]:
 
 
 def _herald(ns: argparse.Namespace) -> Optional[HeraldingModel]:
-    if ns.epsilon <= 0.0:
+    if ns.epsilon < 0.0:
+        raise ConfigError(f"--epsilon {ns.epsilon} is negative; 0 disables it")
+    if ns.epsilon == 0.0:
         return None
     return HeraldingModel(epsilon=ns.epsilon)
 
@@ -207,7 +211,7 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
         raise ConfigError(f"--alpha2 {ns.alpha2} is negative")
     phi = _phi_from(ns)
     spec = SignalSpec(kind, math.sqrt(ns.alpha2), loss=ns.loss)
-    pred = protocol.analytic(phi, spec.alpha, ns.gate)
+    pred = protocol.analytic(phi, spec.alpha_at_gate, ns.gate)
     out = protocol.run_nla(spec, MeterSetting(phi), ns.gate, photon_cap=ns.cap)
     if out.conditional_state is None:
         raise NumericalFailure(
@@ -501,13 +505,14 @@ def _parse_tree(parser: argparse.ArgumentParser,
 def _parse(args: list[str]) -> argparse.Namespace:
     """Namespace of the command line, over --config values when given.
 
-    Each config value becomes `--opt=value` (true the bare flag; false and
-    null are skipped) ahead of the command line's options, and all of it
-    goes once more through the same tree, so argparse checks the file's
-    values as it does flags and the later, explicit flags override them.  A
-    command-line flag of a mutually exclusive group drops the config's
-    values for that group.  Keys of no option, and non-string values of
-    string options, are a ConfigError.
+    Each config value becomes `--opt=value` (true the bare flag; null, and
+    false for a flag, are skipped) ahead of the command line's options, and
+    all of it goes once more through the same tree, so argparse checks the
+    file's values as it does flags and the later, explicit flags override
+    them.  A command-line flag of a mutually exclusive group drops the
+    config's values for that group.  Keys of no option, non-string values of
+    string options and false for an option that takes a value are a
+    ConfigError.
     """
     ns = _parse_tree(*_shared_parser(), args)
     if not ns.config:
@@ -526,12 +531,15 @@ def _parse(args: list[str]) -> argparse.Namespace:
     flags = []
     for key, value in cfg.items():
         act = actions.get(key)
-        if key in CONFIG_EXCLUDE or act is not None and (value is None or value is False):
+        if key in CONFIG_EXCLUDE or act is not None and (
+                value is None or value is False and act.nargs == 0):
             continue
         if act is None or not (isinstance(value, (str, bool)) or act.type):
             raise ConfigError(f"config {key}={value!r} is no value of a "
                               f"{ns.command} option")
         opt = act.option_strings[-1]
+        if value is False:
+            raise ConfigError(f"config {key}=false is no value of {opt}")
         flags.append(opt if value is True else f"{opt}={value}")
     return _parse_tree(parser, sub, [*args[:1], *flags, *args[1:]])
 

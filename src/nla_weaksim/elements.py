@@ -1,4 +1,4 @@
-"""Optical elements: PPBS mode transforms, vacuum restrictions and loss.
+"""Optical elements: PPBS mode transforms and vacuum restrictions.
 
 Polarization is encoded as two modes (H, V) per spatial path.  The global
 beamsplitter convention is the rotation form
@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .fock import DensityOperator, FockBasis, ModeTransform, State, StateVector
+from .fock import ModeTransform
 
 
 @dataclass(frozen=True)
@@ -104,80 +103,3 @@ def vacuum_restriction(t: ModeTransform, drop: tuple[int, ...]) -> ModeTransform
         return t
     sub = t.matrix[np.ix_(keep, keep)]
     return ModeTransform(sub, tuple(t.modes[i] for i in keep), kind="subunitary")
-
-
-@lru_cache(maxsize=None)
-def _loss_transfer(num_modes: int, photon_cap: int, position: int):
-    """Index arrays of loss at one tuple position of a basis shape.
-
-    A transfer term takes a basis state with n = m + k photons at the
-    position to the state with m there.  Loss moves the density-matrix entry
-    between the sources of two terms with the same k to the entry between
-    their targets.  Returns, over those pairs in order of k (so each output
-    entry sums its terms in that order): the flattened source entries, the
-    target entries as real/imaginary slots of the flattened matrix, the
-    (m, k) coefficient index of either term, and the table C(m + k, k).
-    """
-    basis = FockBasis(tuple(range(num_modes)), photon_cap)
-    size, width = basis.size, photon_cap + 1
-    counts = np.stack([basis.counts(m) for m in basis.modes])
-    # basis order is lexicographic, so the occupations read as base-width
-    # digits (position 0 leading) give increasing codes
-    digit = width ** np.arange(num_modes - 1, -1, -1)
-    codes = digit @ counts
-    src, tgt, coeff_a, coeff_b = [], [], [], []
-    for k in range(width):
-        s = np.flatnonzero(counts[position] >= k)
-        t = np.searchsorted(codes, codes[s] - k * digit[position])
-        c = (counts[position][s] - k) * width + k
-        src.append((s[:, None] * size + s).ravel())
-        tgt.append((t[:, None] * size + t).ravel())
-        coeff_a.append(np.repeat(c, c.size))
-        coeff_b.append(np.tile(c, c.size))
-    src, tgt, coeff_a, coeff_b = map(np.concatenate, (src, tgt, coeff_a, coeff_b))
-    slots = np.stack([2 * tgt, 2 * tgt + 1], axis=1).ravel()
-    comb = np.array(
-        [[math.comb(m + k, k) for k in range(width)] for m in range(width)], dtype=float
-    )
-    for a in (src, slots, coeff_a, coeff_b, comb):
-        a.flags.writeable = False
-    return src, slots, coeff_a, coeff_b, comb
-
-
-@dataclass(frozen=True)
-class LossChannel:
-    """Trace-preserving photon loss on one mode (splitter to a traced vacuum).
-
-    Loss acts on that mode's photon-number ladder alone: it maps
-    |..n..><..n'..| to sum_k sqrt(C(n, k) C(n', k)) t^((n+n')/2 - k) l^k
-    |..n-k..><..n'-k..|, with l the loss and t = 1 - l.
-    """
-
-    loss: float
-    mode: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.loss <= 1.0:
-            raise ValueError(f"loss {self.loss} outside [0, 1]")
-
-    def apply(self, state: State) -> DensityOperator:
-        basis = state.basis
-        # a pure input's projector is only read here, so it is not wrapped
-        # in a DensityOperator, which would copy it
-        if isinstance(state, StateVector):
-            matrix = np.outer(state.amplitudes, state.amplitudes.conj())
-        else:
-            matrix = state.matrix
-        src, slots, coeff_a, coeff_b, comb = _loss_transfer(
-            basis.num_modes, basis.photon_cap, basis.position(self.mode)
-        )
-        t = 1.0 - self.loss
-        # sqrt(C(m + k, k) t^m l^k) at [m, k]; the powers are taken as
-        # Python scalars, so each coefficient rounds as the term-by-term
-        # formula does
-        powers = range(basis.photon_cap + 1)
-        kept = np.array([t**m for m in powers])[:, None]
-        coeff = np.sqrt(comb * kept * [self.loss**k for k in powers]).ravel()
-        moved = matrix.ravel()[src] * coeff[coeff_a] * coeff[coeff_b]
-        out = np.bincount(slots, moved.view(float), minlength=2 * basis.size**2)
-        return DensityOperator(basis, out.view(complex).reshape(basis.size, basis.size))

@@ -16,7 +16,9 @@ layout, and only to name the modes of its conditional state.
 
 Signals are written from per-mode photon-number ladders: a coherent product
 state gathers h[n_H] v[n_V] through the basis counts of the two signal
-modes, and the phase-averaged state reads its diagonal the same way.
+modes, and the phase-averaged state reads its diagonal the same way.  Loss
+L attenuates the amplitude to sqrt(1-L) alpha before the ladder is cut, so
+lossy coherent and phase-averaged signals keep their family.
 
 The herald of a gate U keeps one meter photon, in a (a in H, V), and reads
 two diagonals on the signal basis, K_a = <a| U |a> for each signal
@@ -44,7 +46,6 @@ import numpy as np
 from . import fock
 from .elements import (
     DEFAULT_LAYOUT,
-    LossChannel,
     ModeLayout,
     PPBSSpec,
     ppbs,
@@ -110,9 +111,9 @@ class SignalSpec:
 
     kind 'coherent' keeps the full truncated Poissonian ladder,
     'qubit_truncated' keeps only the first two levels N(|0> + alpha|1>), and
-    'phase_averaged' is the diagonal mixture with Poissonian weights.  A
-    nonzero loss is applied to the prepared state as a trace-preserving
-    channel (forcing the density-operator path).
+    'phase_averaged' is the diagonal mixture with Poissonian weights.  Both
+    are built at alpha_at_gate; under loss the two-level signal becomes the
+    mixture L |c1|^2 |0><0| + |psi'><psi'|, psi' = c0|0> + sqrt(1-L) c1|1>.
     """
 
     kind: Literal["coherent", "qubit_truncated", "phase_averaged"]
@@ -126,6 +127,13 @@ class SignalSpec:
             raise ValueError(f"amplitude {self.alpha} is not finite")
         if not 0.0 <= self.loss <= 1.0:
             raise ValueError(f"loss {self.loss} outside [0, 1]")
+
+    @property
+    def alpha_at_gate(self) -> complex:
+        """sqrt(1 - loss) alpha, the amplitude that reaches the gate."""
+        if self.loss == 0.0:
+            return self.alpha
+        return math.sqrt(1.0 - self.loss) * self.alpha
 
 
 @dataclass(frozen=True)
@@ -339,14 +347,20 @@ def _prepare_signal(
     spec: SignalSpec, alpha_type: type, photon_cap: int
 ) -> tuple[State, float]:
     if spec.kind == "coherent":
-        state, tail = two_mode_coherent(0.0, spec.alpha, photon_cap)
-    elif spec.kind == "qubit_truncated":
-        state, tail = qubit_truncated_state(spec.alpha, photon_cap), 0.0
-    else:
-        state, tail = phase_averaged_state(spec.alpha, photon_cap)
-    if spec.loss > 0.0:
-        state = LossChannel(spec.loss, _SIGNAL_V).apply(state)
-    return state, tail
+        return two_mode_coherent(0.0, spec.alpha_at_gate, photon_cap)
+    if spec.kind == "phase_averaged":
+        return phase_averaged_state(spec.alpha_at_gate, photon_cap)
+    state = qubit_truncated_state(spec.alpha, photon_cap)
+    if spec.loss == 0.0:
+        return state, 0.0
+    # psi' = c0|0> + sqrt(1-L) c1|1>, and the lost weight L |c1|^2 on |0>
+    vac, one = (state.basis.index_of((0, n)) for n in (0, 1))
+    psi = state.amplitudes.copy()
+    lost = spec.loss * abs(psi[one]) ** 2
+    psi[one] = psi[vac] * spec.alpha_at_gate
+    rho = np.outer(psi, psi.conj())
+    rho[vac, vac] += lost
+    return DensityOperator(state.basis, rho), 0.0
 
 
 @lru_cache(maxsize=None)
@@ -469,9 +483,10 @@ def run_nla(
     herald probability, the conditional one-photon probability of the
     signal V mode and the truncation weight: the prepared tail beyond the
     cap plus the signal weight at the cap, which has no room for the meter
-    photon.  The run is the same on every layout: the layout only names the
-    modes of the conditional state, whose basis then covers the layout's two
-    signal modes (see _signal_order).
+    photon, and for a pure conditional state of a spec the amplitude gain
+    c1 / (c0 alpha_at_gate).  The run is the same on every layout: the layout
+    only names the modes of the conditional state, whose basis then covers
+    the layout's two signal modes (see _signal_order).
     """
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
     basis, k_hh, k_vv = herald_operators(gate, photon_cap)
@@ -495,11 +510,12 @@ def run_nla(
         return ProtocolOutcome(None, prob, 0.0, truncation)
     p1 = fock.occupancy_probability(cond, _SIGNAL_V, 1)
     amp_gain = None
-    if isinstance(cond, StateVector) and spec is not None and spec.alpha != 0:
+    alpha = spec.alpha_at_gate if spec is not None else 0
+    if isinstance(cond, StateVector) and alpha != 0:
         c0 = cond.amplitudes[basis.index_of((0, 0))]
         c1 = cond.amplitudes[basis.index_of((0, 1))]
         if abs(c0) > 0:
-            amp_gain = complex(c1 / (c0 * spec.alpha))
+            amp_gain = complex(c1 / (c0 * alpha))
     if layout != DEFAULT_LAYOUT:
         named, order = _signal_order(layout.signal, photon_cap)
         cond = (StateVector(named, cond.amplitudes[order])

@@ -5,7 +5,7 @@ complex amplitudes and deliberately avoids the package's permanent-based code
 paths, so the two implementations can be compared against each other.  The
 last section holds the loop-based routes that only tests need: splitters and
 waveplates as mode transforms, partial traces, a density-matrix check,
-loss as an explicit Kraus sum and as a term-by-term pair table, the
+loss as an explicit Kraus sum (and a lossy signal built with it), the
 pair-loop tensor product of pure states, and the pair products of two
 ladders formed from their float parts.
 """
@@ -383,40 +383,42 @@ def loss_kraus(loss, mode, basis):
     return ops
 
 
-def loss_transfer_loop(num_modes, photon_cap, position):
-    """The pair table of elements._loss_transfer, built term by term.
-
-    Per k, in basis order, each state with n >= k photons at the position
-    gives the term (state, state with n - k there, coefficient index
-    (n - k) * (cap + 1) + k); every ordered pair of terms of one k, first
-    term major, is one entry.  Returns (src, tgt, coeff_a, coeff_b) with
-    src and tgt flattened basis-size-squared indices.
-    """
-    basis = FockBasis(tuple(range(num_modes)), photon_cap)
-    size, width = basis.size, photon_cap + 1
-    pairs = []
-    for k in range(width):
-        terms = []
-        for i, occ in enumerate(basis.occupations):
-            m = occ[position] - k
-            if m >= 0:
-                out = list(occ)
-                out[position] = m
-                terms.append((i, basis.index_of(tuple(out)), m * width + k))
-        pairs.extend(
-            (s1 * size + s2, t1 * size + t2, c1, c2)
-            for s1, t1, c1 in terms
-            for s2, t2, c2 in terms
-        )
-    return tuple(np.array(col, dtype=np.intp) for col in zip(*pairs))
-
-
 def loss_kraus_sum(loss, mode, state):
     """Density matrix after loss as the Kraus sum sum_k K rho K^T."""
     rho = state.to_density() if isinstance(state, StateVector) else state
     out = np.zeros_like(rho.matrix)
     for k in loss_kraus(loss, mode, rho.basis):
         out = out + k @ rho.matrix @ k.T
+    return out
+
+
+def lossy_signal(kind, alpha, loss, cap, long_cap=40):
+    """A signal of the given kind on signal V, taken through loss as the
+    Kraus sum on a ladder to long_cap and only then cut to the signal basis
+    at the cap (signal H empty).  Returns the density matrix.
+
+    Pre-loss ladders: the coherent amplitudes, the Poisson weights of the
+    phase-averaged mixture, and N(|0> + alpha|1>) with N = exp(-|a|^2/2)
+    for 'qubit_truncated'.
+    """
+    ladder = build_basis(1, long_cap, modes=(DEFAULT_LAYOUT.signal_v,))
+    if kind == "phase_averaged":
+        mean = abs(alpha) ** 2
+        pops = [math.exp(-mean) * mean**n / math.factorial(n)
+                for n in range(long_cap + 1)]
+        state = DensityOperator(ladder, np.diag(pops).astype(complex))
+    else:
+        amps = np.zeros(long_cap + 1, dtype=complex)
+        if kind == "coherent":
+            amps[:] = coherent_amps(alpha, long_cap)
+        else:
+            amps[:2] = math.exp(-abs(alpha) ** 2 / 2.0) * np.array([1.0, alpha])
+        state = StateVector(ladder, amps)
+    rho = loss_kraus_sum(loss, DEFAULT_LAYOUT.signal_v, state)
+    basis = build_basis(2, cap)
+    keep = [basis.index_of((0, n)) for n in range(cap + 1)]
+    out = np.zeros((basis.size, basis.size), dtype=complex)
+    out[np.ix_(keep, keep)] = rho[:cap + 1, :cap + 1]
     return out
 
 

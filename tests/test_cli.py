@@ -65,6 +65,32 @@ def test_protocol_json_output(tmp_path, capsys):
     assert row["herald_probability"] == pytest.approx(
         row["herald_closed_form"], rel=1e-6
     )
+    # with loss the closed form is taken at the amplitude that reaches the
+    # gate, and so is the gain of the now pure conditional state
+    lossy = tmp_path / "lossy.json"
+    assert main(["protocol", "--gain", "6", "--alpha2", "1e-3", "--loss", "0.3",
+                 "--cap", "4", "--output", str(lossy)]) == 0
+    doc = json.loads(lossy.read_text())
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    assert row["herald_probability"] == pytest.approx(
+        row["herald_closed_form"], rel=1e-6
+    )
+    want = protocol.analytic(protocol.phi_for_gain(6.0), math.sqrt(0.7e-3))
+    assert doc["meta"] == pytest.approx(
+        {"norm_in": want.norm_in, "norm_out": want.norm_out}, rel=1e-12)
+    assert row["amplitude_gain_re"] == pytest.approx(0.0, abs=1e-12)
+    assert row["amplitude_gain_im"] == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+
+def test_protocol_tail_is_taken_after_loss(capsys):
+    # the ladder is cut at the attenuated mean, so an input whose own tail
+    # is too heavy for the cap runs once loss has thinned it
+    args = ["protocol", "--gain", "3", "--alpha2", "5", "--cap", "4"]
+    assert main(args + ["--loss", "0.9"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    assert row["size_in_true"] == pytest.approx(0.5, rel=1e-12)
+    assert main(args) == 2
 
 
 def test_protocol_at_cap_seven(capsys):
@@ -269,6 +295,9 @@ def test_config_replays_every_command_byte_for_byte(command, tmp_path):
     # an option of another command
     ("protocol", {"gain": 3, "shots": 10}),
     ("protocol", {"gain": 3, "help": True}),
+    # false is skipped only for a flag; an option with a value has none
+    ("protocol", {"gain": 3, "cap": False}),
+    ("gain-sweep", {"shots": False}),
 ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
 def test_bad_config_values_exit_two(command, config, tmp_path, capsys):
     path = tmp_path / "cfg.json"
@@ -431,6 +460,26 @@ def test_non_finite_values_exit_two(args, capsys):
         assert main(args) == 2
     assert caught == []
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["gain-sweep", "--gains", "3", "--inputs", "1e-5", "--shots", "-5"],
+        ["gain-sweep", "--gains", "3", "--inputs", "1e-5", "--epsilon", "-1"],
+        ["gain-vs-phi", "--inputs", "1e-5", "--phis", "1.0", "--shots", "-1",
+         "--seed", "1"],
+        ["visibility", "--gains", "2", "--shots", "-1", "--seed", "1"],
+    ],
+    ids=lambda args: " ".join(args),
+)
+def test_negative_counts_exit_two(args, capsys):
+    # only 0 switches counting or the herald model off
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    opt = next(a for a in args if a in ("--shots", "--epsilon"))
+    assert captured.err.startswith(f"error: {opt} -")
 
 
 @pytest.mark.parametrize(

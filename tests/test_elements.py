@@ -9,10 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nla_weaksim import elements
 from nla_weaksim.elements import (
-    LossChannel,
-    ModeLayout,
     PPBSSpec,
     ppbs,
     vacuum_restriction,
@@ -23,6 +20,7 @@ from nla_weaksim.fock import (
     build_basis,
     lift_mode_transform,
 )
+from nla_weaksim.protocol import SignalSpec, prepare_signal
 from oracles import WaveplateSetting, beamsplitter, hwp, meter_waveplate_angles, qwp
 
 
@@ -104,29 +102,43 @@ def test_vacuum_restriction_equals_vacuum_postselection(rng):
 
 
 def test_loss_channel_kraus_completeness():
+    # the Kraus set that the lossy-signal reference is built from
     basis = build_basis(1, 3, modes=(0,))
-    ch = LossChannel(0.37, 0)
-    ks = oracles.loss_kraus(ch.loss, ch.mode, basis)
+    ks = oracles.loss_kraus(0.37, 0, basis)
     total = sum(k.conj().T @ k for k in ks)
     assert np.max(np.abs(total - np.eye(basis.size))) < 1e-12
 
 
 def test_loss_on_single_photon_frozen_values():
-    basis = build_basis(1, 1, modes=(0,))
-    one = StateVector(basis, np.array([0.0, 1.0], dtype=complex))
-    rho = LossChannel(0.6, 0).apply(one)
-    assert np.allclose(np.diag(rho.matrix).real, [0.6, 0.4], atol=1e-14)
-    assert rho.matrix[0, 1] == 0.0
+    # loss 0.6 moves that share of the two-level signal's single photon to
+    # the vacuum and scales its coherence with the vacuum by sqrt(0.4)
+    alpha = 0.5
+    rho, _ = prepare_signal(SignalSpec("qubit_truncated", alpha, loss=0.6), 1)
+    vac, one = (rho.basis.index_of((0, n)) for n in (0, 1))
+    n2 = math.exp(-alpha**2)
+    assert rho.matrix[vac, vac].real == pytest.approx(n2 * (1 + 0.6 * alpha**2),
+                                                      rel=1e-15)
+    assert rho.matrix[one, one].real == pytest.approx(n2 * 0.4 * alpha**2,
+                                                      rel=1e-15)
+    assert rho.matrix[vac, one] == pytest.approx(n2 * math.sqrt(0.4) * alpha,
+                                                 rel=1e-15)
+    assert rho.matrix[rho.basis.index_of((1, 0)), vac] == 0.0
 
 
-def test_loss_matches_ancilla_construction(rng):
-    pops = rng.random(4)
-    pops /= pops.sum()
-    basis = build_basis(1, 3, modes=(0,))
-    rho_in = np.diag(pops).astype(complex)
-    out = LossChannel(0.23, 0).apply(DensityOperator(basis, rho_in))
-    expect = oracles.loss_via_ancilla(list(pops), 0.23, 3)
-    assert np.allclose(np.diag(out.matrix).real, expect, atol=1e-12)
+def test_loss_matches_ancilla_construction():
+    # a lossy phase-averaged signal is the Poisson ladder thinned by loss,
+    # as the vacuum-ancilla construction gives it on a ladder past the cap
+    alpha, loss, cap = 0.8, 0.23, 3
+    long = cap + 30
+    pops = [math.exp(-(alpha**2)) * alpha ** (2 * n) / math.factorial(n)
+            for n in range(long + 1)]
+    expect = oracles.loss_via_ancilla(pops, loss, long)[:cap + 1]
+    rho, _ = prepare_signal(SignalSpec("phase_averaged", alpha, loss=loss), cap)
+    ladder = [rho.basis.index_of((0, n)) for n in range(cap + 1)]
+    diag = np.diag(rho.matrix)
+    assert np.max(np.abs(diag[ladder] - expect)) < 1e-15
+    assert np.count_nonzero(diag) == cap + 1
+    assert np.count_nonzero(rho.matrix - np.diag(diag)) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -135,22 +147,28 @@ def test_loss_matches_ancilla_construction(rng):
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_loss_composition_law(l1, l2):
-    """Two cascaded loss channels equal one with combined transmission.
+    """Two cascaded losses equal one with combined transmission.
 
-    The reference is the closed form at transmission (1-l1)(1-l2): the
-    combined loss 1 - (1-l1)(1-l2) rounds to 1.0 once the transmission drops
-    below half an ulp, and the channel's coherences go as sqrt(T), so a
-    reference built from that loss is off by ~1e-9 while the cascade is not.
+    A coherent signal already attenuated by l1 and then prepared with loss
+    l2 is checked against the closed form at transmission (1-l1)(1-l2) on a
+    ladder past the cap.  The combined loss 1 - (1-l1)(1-l2) rounds to 1.0
+    once the transmission drops below half an ulp, and the amplitude goes as
+    sqrt(T), so a reference built from that loss is off by ~1e-9 while the
+    cascade is not; the one-step run is checked against its own loss.
     """
-    basis = build_basis(1, 2, modes=(0,))
-    amps = np.array([0.5, 0.7, 0.1], dtype=complex)
-    state = StateVector(basis, amps)
-    twice = LossChannel(l2, 0).apply(LossChannel(l1, 0).apply(state))
-    expect = oracles.loss_output(amps, (1.0 - l1) * (1.0 - l2))
-    assert np.max(np.abs(twice.matrix - expect)) < 1e-12
+    cap, alpha = 3, 0.5
+    amps = oracles.coherent_amps(alpha, cap + 15)
     combined = 1.0 - (1.0 - l1) * (1.0 - l2)
-    once = LossChannel(combined, 0).apply(state)
-    assert np.max(np.abs(once.matrix - oracles.loss_output(amps, 1.0 - combined))) < 1e-12
+    for spec, t in (
+        (SignalSpec("coherent", math.sqrt(1.0 - l1) * alpha, loss=l2),
+         (1.0 - l1) * (1.0 - l2)),
+        (SignalSpec("coherent", alpha, loss=combined), 1.0 - combined),
+    ):
+        state, _ = prepare_signal(spec, cap)
+        keep = [state.basis.index_of((0, n)) for n in range(cap + 1)]
+        got = np.outer(state.amplitudes, state.amplitudes.conj())
+        expect = oracles.loss_output(amps, t)[:cap + 1, :cap + 1]
+        assert np.max(np.abs(got[np.ix_(keep, keep)] - expect)) < 1e-12
 
 
 # (basis modes, lossy mode): one mode, and two modes with either one lossy
@@ -162,10 +180,11 @@ LOSSES = [0.0, 1e-300, 0.3, 0.9999999999999999, 1.0]
 @pytest.mark.parametrize("modes, lossy", LADDERS)
 @pytest.mark.parametrize("cap", [2, 3, 4, 5])
 def test_ladder_loss_matches_independent_routes(cap, modes, lossy, loss):
-    """The cached ladder transfer against the Kraus sum on pure and mixed
-    inputs (full coherences, H-V ones included), against the closed form
-    on one mode, and against the vacuum-ancilla construction on diagonal
-    inputs, ladder by ladder of the other mode's occupation."""
+    """The loss reference of the tests, the Kraus sum, against the two
+    other routes: the closed form on one mode, on pure and mixed inputs, and
+    the vacuum-ancilla construction on diagonal inputs, ladder by ladder of
+    the other mode's occupation.  It stays a trace-preserving map on pure
+    and mixed inputs with full coherences, H-V ones included."""
     basis = build_basis(len(modes), cap, modes=modes)
     rng = np.random.default_rng(cap)
     vecs = []
@@ -177,21 +196,19 @@ def test_ladder_loss_matches_independent_routes(cap, modes, lossy, loss):
     mixed = DensityOperator(
         basis, sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
     )
-    channel = LossChannel(loss, lossy)
-    for state in (pure, mixed):
-        out = channel.apply(state)
-        assert out.basis == basis
-        want = oracles.loss_kraus_sum(loss, lossy, state)
-        assert np.max(np.abs(out.matrix - want)) < 1e-14
-        assert out.trace() == pytest.approx(1.0, abs=1e-14)
+    outs = [oracles.loss_kraus_sum(loss, lossy, state) for state in (pure, mixed)]
+    for out in outs:
+        assert np.trace(out).real == pytest.approx(1.0, abs=1e-14)
+        oracles.validate_density(DensityOperator(basis, out), atol=1e-14)
     if len(modes) == 1:
         t = 1.0 - loss
-        got = channel.apply(pure).matrix
-        assert np.max(np.abs(got - oracles.loss_output(vecs[0], t))) < 1e-14
+        assert np.max(np.abs(outs[0] - oracles.loss_output(vecs[0], t))) < 1e-14
         want = sum(w * oracles.loss_output(v, t) for w, v in zip(weights, vecs))
-        assert np.max(np.abs(channel.apply(mixed).matrix - want)) < 1e-14
+        assert np.max(np.abs(outs[1] - want)) < 1e-14
     pops = rng.random(basis.size)
-    out = channel.apply(DensityOperator(basis, np.diag(pops / pops.sum())))
+    out = oracles.loss_kraus_sum(
+        loss, lossy, DensityOperator(basis, np.diag(pops / pops.sum()))
+    )
     pos = basis.position(lossy)
     for rest in range(cap + 1 if len(modes) == 2 else 1):
         ladder = []
@@ -202,45 +219,47 @@ def test_ladder_loss_matches_independent_routes(cap, modes, lossy, loss):
         expect = oracles.loss_via_ancilla(
             [pops[i] / pops.sum() for i in ladder], loss, cap - rest
         )
-        got = np.diag(out.matrix).real[ladder]
+        got = np.diag(out).real[ladder]
         assert np.max(np.abs(got - expect)) < 1e-14
-
-
-def test_loss_transfer_is_cached_per_shape_not_per_layout():
-    """Layouts with the lossy mode at the same tuple position share one
-    cache entry, so drawing new layouts does not grow the cache."""
-    elements._loss_transfer.cache_clear()
-    for layout in (ModeLayout(), ModeLayout(5, 12, 0, 3)):
-        basis = build_basis(2, 3, modes=tuple(sorted(layout.signal)))
-        amps = np.zeros(basis.size, dtype=complex)
-        amps[0] = amps[-1] = math.sqrt(0.5)
-        LossChannel(0.3, layout.signal_v).apply(StateVector(basis, amps))
-    info = elements._loss_transfer.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
 
 
 @pytest.mark.parametrize("num_modes", [1, 2, 3])
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6])
 def test_loss_transfer_matches_the_term_loop(num_modes, cap):
-    for position in range(num_modes):
-        src, slots, coeff_a, coeff_b, _ = elements._loss_transfer.__wrapped__(
-            num_modes, cap, position
-        )
-        want = oracles.loss_transfer_loop(num_modes, cap, position)
-        tgt = slots[::2] // 2
-        assert np.array_equal(slots[1::2], slots[::2] + 1)
-        for got, expect in zip((src, tgt, coeff_a, coeff_b), want):
-            assert got.dtype == expect.dtype
-            assert np.array_equal(got, expect)
+    """The Kraus-sum reference against the binomial transfer written term
+    by term, at every position of the basis:
+    |..n..><..n'..| -> sum_k sqrt(C(n,k) C(n',k)) t^((n+n')/2-k) l^k
+    |..n-k..><..n'-k..|, with l the loss and t = 1 - l."""
+    basis = build_basis(num_modes, cap, modes=tuple(range(num_modes)))
+    rng = np.random.default_rng(10 * cap + num_modes)
+    a = rng.normal(size=(basis.size,) * 2) + 1j * rng.normal(size=(basis.size,) * 2)
+    rho = DensityOperator(basis, a @ a.conj().T / np.trace(a @ a.conj().T))
+    loss = 0.3
+    t = 1.0 - loss
+    for pos in range(num_modes):
+        want = np.zeros_like(rho.matrix)
+        for i, occ in enumerate(basis.occupations):
+            for j, occ2 in enumerate(basis.occupations):
+                n, n2 = occ[pos], occ2[pos]
+                for k in range(min(n, n2) + 1):
+                    lo = basis.index_of(occ[:pos] + (n - k,) + occ[pos + 1:])
+                    lo2 = basis.index_of(occ2[:pos] + (n2 - k,) + occ2[pos + 1:])
+                    want[lo, lo2] += (
+                        math.sqrt(math.comb(n, k) * math.comb(n2, k))
+                        * t ** ((n + n2) / 2 - k) * loss**k * rho.matrix[i, j]
+                    )
+        got = oracles.loss_kraus_sum(loss, pos, rho)
+        assert np.max(np.abs(got - want)) < 1e-14
 
 
 def test_loss_spec_validation():
-    # a loss outside [0, 1] would give NaN coefficients in apply
+    # a loss outside [0, 1] has no transmission to attenuate by
     for bad in (-0.1, -0.2, 1.5, math.nan):
         with pytest.raises(ValueError, match="outside"):
-            LossChannel(bad, 1)
+            SignalSpec("coherent", 0.1, loss=bad)
     for edge in (0.0, 1.0):
-        assert LossChannel(edge, 1).loss == edge
+        spec = SignalSpec("coherent", 0.1, loss=edge)
+        assert spec.alpha_at_gate == math.sqrt(1.0 - edge) * 0.1
     with pytest.raises(ValueError):
         PPBSSpec(2.0, 0.5)
 

@@ -242,13 +242,15 @@ def test_run_matches_brute_force_reference():
 
 
 def test_diagonal_input_matches_weighted_reference():
-    # a diagonal input heralds as the mixture of its Fock components
+    # a diagonal input heralds as the mixture of its Fock components; loss
+    # thins the Poisson ladder well past the cap before it is cut there
     alpha, phi = 0.3, 1.1
     for cap in (2, 3):
+        long = cap + 30
         pops = [math.exp(-(alpha**2)) * alpha ** (2 * n) / math.factorial(n)
-                for n in range(cap + 1)]
+                for n in range(long + 1)]
         for loss in (0.0, 0.4):
-            weights = oracles.loss_via_ancilla(pops, loss, cap)
+            weights = oracles.loss_via_ancilla(pops, loss, long)[:cap + 1]
             for gate in ("ppbs", "ideal"):
                 out = run_nla(SignalSpec("phase_averaged", alpha, loss=loss),
                               MeterSetting(phi), gate, photon_cap=cap)
@@ -267,16 +269,65 @@ def test_diagonal_input_matches_weighted_reference():
                 got = out.conditional_state.matrix * out.herald_probability
                 assert np.max(np.abs(got - want)) < 1e-12
                 assert out.truncation_weight == pytest.approx(
-                    weights[cap] + oracles.poisson_tail(alpha**2, cap),
+                    weights[cap]
+                    + oracles.poisson_tail((1.0 - loss) * alpha**2, cap),
                     rel=1e-9,
                 )
+
+
+@pytest.mark.parametrize("cap", [2, 4, 8])
+@pytest.mark.parametrize("loss", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("kind", ["coherent", "phase_averaged",
+                                  "qubit_truncated"])
+def test_prepared_lossy_signal_is_loss_then_cut(kind, loss, cap):
+    # loss on a ladder far past the cap, then the cut, is the state that
+    # attenuation prepares; the signal keeps its family: a coherent one
+    # stays pure, a phase-averaged one diagonal, and only a lossy two-level
+    # one is mixed
+    rng = np.random.default_rng([cap, int(10 * loss), len(kind)])
+    for _ in range(3):
+        alpha = cmath.rect(rng.uniform(0.05, 0.3), rng.uniform(-math.pi, math.pi))
+        state, tail = prepare_signal(SignalSpec(kind, alpha, loss=loss), cap)
+        want = oracles.lossy_signal(kind, alpha, loss, cap)
+        pure = kind == "coherent" or kind == "qubit_truncated" and loss == 0.0
+        assert isinstance(state, StateVector if pure else DensityOperator)
+        got = (state.to_density() if pure else state).matrix
+        assert np.max(np.abs(got - want)) < 1e-14
+        if kind == "phase_averaged":
+            assert np.count_nonzero(got - np.diag(np.diag(got))) == 0
+        if kind == "qubit_truncated":
+            assert tail == 0.0
+        else:
+            mean = (1.0 - loss) * abs(alpha) ** 2
+            assert tail == pytest.approx(oracles.poisson_tail(mean, cap),
+                                         rel=1e-9, abs=1e-300)
+
+
+def test_lossy_coherent_run_is_the_attenuated_lossless_run():
+    # one decision point: the lossy run is the lossless run at the amplitude
+    # that reaches the gate, and its gain is taken against that amplitude
+    alpha, loss = 0.03, 0.3
+    lossy = run_nla(SignalSpec("coherent", alpha, loss=loss), MeterSetting(1.1),
+                    photon_cap=4)
+    plain = run_nla(SignalSpec("coherent", math.sqrt(1.0 - loss) * alpha),
+                    MeterSetting(1.1), photon_cap=4)
+    assert lossy.conditional_state.amplitudes.tobytes() == \
+        plain.conditional_state.amplitudes.tobytes()
+    for field in ("herald_probability", "p1_out", "truncation_weight",
+                  "amplitude_gain"):
+        assert getattr(lossy, field) == getattr(plain, field)
+    g = analytic(1.1, alpha).g
+    assert lossy.amplitude_gain == pytest.approx(g / math.sqrt(3.0), rel=1e-3)
+    gone = run_nla(SignalSpec("coherent", alpha, loss=1.0), MeterSetting(1.1),
+                   photon_cap=4)
+    assert gone.amplitude_gain is None
 
 
 def test_prepared_signal_is_shared_and_bounded():
     spec = SignalSpec("coherent", 0.03, loss=0.2)
     state, _ = prepare_signal(spec, 4)
     assert prepare_signal(spec, 4)[0] is state
-    assert not state.matrix.flags.writeable
+    assert not state.amplitudes.flags.writeable
     for i in range(20):
         prepare_signal(SignalSpec("phase_averaged", 0.01 * (i + 1)), 3)
     info = protocol._prepare_signal.cache_info()

@@ -10,12 +10,17 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("script", ["gain_curves.py", "fringe_scans.py"])
-def test_script_reruns_are_byte_identical(tmp_path, script):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.mark.parametrize("script", ["gain_curves.py", "fringe_scans.py"])
+def test_script_reruns_are_byte_identical(tmp_path, script):
+    env = _env()
     outputs = []
     for run in ("first", "second"):
         outdir = tmp_path / run
@@ -30,3 +35,18 @@ def test_script_reruns_are_byte_identical(tmp_path, script):
     assert sorted(first) == sorted(second)
     for name in first:
         assert first[name] == second[name], name
+
+
+@pytest.mark.parametrize("script", ["gain_curves.py", "fringe_scans.py"])
+def test_script_rejects_negative_shots(tmp_path, script):
+    # only 0 turns counting off; a negative count is a usage error
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--shots", "-1",
+         "--outdir", str(tmp_path / "out")],
+        env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert "error: --shots -1 is negative" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
