@@ -8,6 +8,11 @@ shows up as lost norm, never as silently moved population.  There is no
 generic product of states: builders of joint states write them directly from
 the per-mode photon counts of the basis (FockBasis.counts).
 
+There is one state type, State: a pure part psi plus an incoherent diagonal
+p, rho = |psi><psi| + diag(p).  A map diagonal in the basis keeps that form,
+and a photon-number marginal reads only its weights |psi|^2 + p, so no dense
+density matrix is built.
+
 All containers are immutable after construction; every operation returns new
 objects, so states and operators can be shared freely across threads.
 """
@@ -19,7 +24,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -150,50 +155,53 @@ def build_basis(
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Pure state: complex amplitudes over a FockBasis."""
+class State:
+    """State rho = |psi><psi| + diag(p) over a FockBasis: a pure part psi
+    (``amplitudes``, complex) and an incoherent diagonal p (``populations``,
+    real, finite and nonnegative; zeros when omitted).  A coherent signal
+    has p = 0 and a phase-averaged one psi = 0."""
 
     basis: FockBasis
     amplitudes: np.ndarray
+    populations: np.ndarray | None = None
 
     def __post_init__(self):
+        shape = (self.basis.size,)
         amps = np.array(self.amplitudes, dtype=complex)
-        if amps.shape != (self.basis.size,):
-            raise ValueError(
-                f"expected {self.basis.size} amplitudes, got {amps.shape}"
-            )
+        if amps.shape != shape:
+            raise ValueError(f"expected {shape[0]} amplitudes, got {amps.shape}")
+        if self.populations is None:
+            pops = np.zeros(shape)
+        else:
+            pops = np.array(self.populations, dtype=float)
+            if pops.shape != shape:
+                raise ValueError(
+                    f"expected {shape[0]} populations, got {pops.shape}")
+            # a NaN fails the first comparison
+            if not (pops.min() >= 0.0 and pops.max() < math.inf):
+                raise ValueError("populations must be finite and nonnegative")
         amps.flags.writeable = False
+        pops.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "populations", pops)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+    @classmethod
+    def _derived(cls, basis: FockBasis, amplitudes: np.ndarray,
+                 populations: np.ndarray) -> "State":
+        """State from new arrays that a map keeping states valid (a herald,
+        a reordering) computed from a valid state, taken without the
+        constructor's copies and checks, which cost as much as a herald."""
+        state = object.__new__(cls)
+        amplitudes.flags.writeable = False
+        populations.flags.writeable = False
+        object.__setattr__(state, "basis", basis)
+        object.__setattr__(state, "amplitudes", amplitudes)
+        object.__setattr__(state, "populations", populations)
+        return state
 
-    def amplitude(self, occ: Iterable[int]) -> complex:
-        return complex(self.amplitudes[self.basis.index_of(occ)])
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.basis, np.outer(self.amplitudes, self.amplitudes.conj()))
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Mixed state: Hermitian matrix over a FockBasis."""
-
-    basis: FockBasis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (self.basis.size, self.basis.size):
-            raise ValueError(f"expected {self.basis.size}^2 matrix, got {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
-
-State = Union[StateVector, DensityOperator]
+    def weights(self) -> np.ndarray:
+        """Photon-number weight of each basis state, |psi|^2 + p."""
+        return np.abs(self.amplitudes) ** 2 + self.populations
 
 
 @dataclass(frozen=True)
@@ -335,11 +343,8 @@ def lift_mode_transform(
 def occupancy_distribution(state: State, mode: int) -> np.ndarray:
     """Marginal photon-number distribution of one mode (no renormalizing)."""
     basis = state.basis
-    if isinstance(state, StateVector):
-        weights = np.abs(state.amplitudes) ** 2
-    else:
-        weights = state.matrix.diagonal().real
-    return np.bincount(basis.counts(mode), weights, minlength=basis.photon_cap + 1)
+    return np.bincount(basis.counts(mode), state.weights(),
+                       minlength=basis.photon_cap + 1)
 
 
 def occupancy_probability(state: State, mode: int, n: int) -> float:

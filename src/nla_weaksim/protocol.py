@@ -14,11 +14,14 @@ DEFAULT_LAYOUT: signal H and V are modes 0 and 1, meter H and V modes 2 and
 3, so a signal occupation reads (n_H, n_V).  Only run_nla takes another
 layout, and only to name the modes of its conditional state.
 
-Signals are written from per-mode photon-number ladders: a coherent product
-state gathers h[n_H] v[n_V] through the basis counts of the two signal
-modes, and the phase-averaged state reads its diagonal the same way.  Loss
-L attenuates the amplitude to sqrt(1-L) alpha before the ladder is cut, so
-lossy coherent and phase-averaged signals keep their family.
+Every state is a pure part plus an incoherent diagonal,
+rho = |psi><psi| + diag(p) (fock.State).  Signals are written from per-mode
+photon-number ladders: a coherent product state gathers h[n_H] v[n_V]
+through the basis counts of the two signal modes into psi, and the
+phase-averaged state reads its populations p the same way.  Loss L
+attenuates the amplitude to sqrt(1-L) alpha before the ladder is cut, so
+lossy coherent and phase-averaged signals keep their family; the lossy
+two-level signal keeps its lost weight as a population on the vacuum.
 
 The herald of a gate U keeps one meter photon, in a (a in H, V), and reads
 two diagonals on the signal basis, K_a = <a| U |a> for each signal
@@ -29,8 +32,9 @@ polarization, so between one meter photon in and one out it conserves the
 signal occupation, and its herald lifts only that block of U through
 permanents, once per cap.  The full lift (gate_operator) is never built
 for a run.  A run at meter phase phi then applies
-M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal elementwise, as M psi or
-M_i rho_ij conj(M_j); the through-gate input size uses K_HH.
+M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal elementwise.  M is
+diagonal in photon number, so it keeps the state's form: psi goes to M psi
+and p to |M|^2 p.  The through-gate input size uses K_HH.
 """
 
 from __future__ import annotations
@@ -52,11 +56,9 @@ from .elements import (
     vacuum_restriction,
 )
 from .fock import (
-    DensityOperator,
     FockBasis,
     ModeTransform,
     State,
-    StateVector,
     build_basis,
     compose_transforms,
     lift_mode_transform,
@@ -68,6 +70,9 @@ GateKind = Literal["ideal", "ppbs"]
 GATE_TRANSMISSION = 1.0 / 3.0
 
 DEFAULT_PHOTON_CAP = 3
+
+# largest Poisson weight a signal may lose beyond the cap
+TRUNCATION_BOUND = 1e-3
 
 # herald probabilities below this are treated as an impossible outcome
 ZERO_PROBABILITY = 1e-30
@@ -109,11 +114,13 @@ class MeterSetting:
 class SignalSpec:
     """Input signal description.
 
-    kind 'coherent' keeps the full truncated Poissonian ladder,
-    'qubit_truncated' keeps only the first two levels N(|0> + alpha|1>), and
-    'phase_averaged' is the diagonal mixture with Poissonian weights.  Both
-    are built at alpha_at_gate; under loss the two-level signal becomes the
-    mixture L |c1|^2 |0><0| + |psi'><psi'|, psi' = c0|0> + sqrt(1-L) c1|1>.
+    kind 'coherent' keeps the full truncated Poissonian ladder as the pure
+    part, 'qubit_truncated' keeps only the first two levels
+    N(|0> + alpha|1>), and 'phase_averaged' is the diagonal mixture with
+    Poissonian weights as populations.  Both are built at alpha_at_gate;
+    under loss the two-level signal becomes the pure part
+    psi' = N(|0> + alpha_at_gate |1>) plus the population L |N alpha|^2 on
+    the vacuum.
     """
 
     kind: Literal["coherent", "qubit_truncated", "phase_averaged"]
@@ -176,49 +183,46 @@ def _ladder(
     return terms
 
 
-def _coherent_ladder(
-    alpha: complex, cap: int, truncation_bound: float
-) -> tuple[np.ndarray, float]:
+def _coherent_ladder(alpha: complex, cap: int) -> tuple[np.ndarray, float]:
     """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cap and the Poisson
-    weight beyond the cap, which must not exceed the bound."""
+    weight beyond the cap (see _poisson_tail)."""
     pref = math.exp(-abs(alpha) ** 2 / 2.0)
     amps = np.array(_ladder(
         cap,
         lambda n: pref * alpha**n / math.sqrt(math.factorial(n)),
         lambda prev, n: prev * alpha / math.sqrt(n),
     ), dtype=complex)
-    tail = _poisson_tail(abs(alpha) ** 2, cap)
-    if tail > truncation_bound:
-        raise fock.TruncationError(
-            f"coherent tail {tail:.3e} beyond cap {cap} exceeds bound "
-            f"{truncation_bound:.3e}"
-        )
-    return amps, tail
+    return amps, _poisson_tail(abs(alpha) ** 2, cap, "coherent")
 
 
-def _poisson_tail(mean: float, cap: int) -> float:
-    """Poisson weight beyond the cap.
+def _poisson_tail(mean: float, cap: int, kind: str) -> float:
+    """Poisson weight beyond the cap of a signal of the named kind; a
+    TruncationError if it exceeds TRUNCATION_BOUND.
 
     One minus the weight up to the cap is exact only to about 1e-16, so
     where that weight is at least a half the tail is summed term by term
     from cap + 1 until a term no longer changes the sum.
     """
-    if mean == 0.0:
-        return 0.0
     term = math.exp(-mean)
     head = term
     for n in range(1, cap + 1):
         term *= mean / n
         head += term
     if head < 0.5:
-        return 1.0 - head
-    tail = 0.0
-    n = cap + 1
-    term *= mean / n
-    while tail + term != tail:
-        tail += term
-        n += 1
+        tail = 1.0 - head
+    else:
+        tail = 0.0
+        n = cap + 1
         term *= mean / n
+        while tail + term != tail:
+            tail += term
+            n += 1
+            term *= mean / n
+    if tail > TRUNCATION_BOUND:
+        raise fock.TruncationError(
+            f"{kind} tail {tail:.3e} beyond cap {cap} exceeds bound "
+            f"{TRUNCATION_BOUND:.3e}"
+        )
     return tail
 
 
@@ -245,17 +249,15 @@ def two_mode_coherent(
     alpha_h: complex,
     alpha_v: complex,
     photon_cap: int,
-    *,
-    truncation_bound: float = 1e-3,
-) -> tuple[StateVector, float]:
+) -> tuple[State, float]:
     """Product of coherent states on the signal H and V modes.
 
     Each amplitude is h[n_H] v[n_V], gathered from the two ladders by the
     basis counts.  The returned weight is the two ladder tails plus the
     product weight of the pairs (n_H, n_V) over the cap, added n_H-major.
     """
-    h, tail_h = _coherent_ladder(alpha_h, photon_cap, truncation_bound)
-    v, tail_v = _coherent_ladder(alpha_v, photon_cap, truncation_bound)
+    h, tail_h = _coherent_ladder(alpha_h, photon_cap)
+    v, tail_v = _coherent_ladder(alpha_v, photon_cap)
     basis = build_basis(2, photon_cap)
     pairs = _pair_products(h, v)
     amps = np.array(pairs)[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)]
@@ -264,34 +266,23 @@ def two_mode_coherent(
     for n_h, row in enumerate(pairs):
         for p in row[photon_cap + 1 - n_h:]:
             dropped += abs(p) ** 2
-    return StateVector(basis, amps), tail_h + tail_v + dropped
+    return State(basis, amps), tail_h + tail_v + dropped
 
 
-def qubit_truncated_state(alpha: complex, photon_cap: int) -> StateVector:
-    """Two-level approximation N(|0> + alpha|1>) on the signal modes."""
-    basis = build_basis(2, photon_cap)
-    pref = math.exp(-abs(alpha) ** 2 / 2.0)
-    amps = np.zeros(basis.size, dtype=complex)
-    amps[basis.index_of((0, 0))] = pref
-    amps[basis.index_of((0, 1))] = pref * alpha
-    return StateVector(basis, amps)
-
-
-def phase_averaged_state(
-    alpha: complex, photon_cap: int
-) -> tuple[DensityOperator, float]:
-    """Diagonal mixture with Poissonian weights e^{-|a|^2} |a|^{2n} / n!.
+def phase_averaged_state(alpha: complex, photon_cap: int) -> tuple[State, float]:
+    """Diagonal mixture with the Poissonian weights e^{-|a|^2} |a|^{2n} / n!
+    as its populations, and no pure part.
 
     Equal to averaging |a e^{i theta}> projectors over theta; the weight
-    beyond the cap is returned as the truncation tail.
+    beyond the cap is returned as the truncation tail (see _poisson_tail).
     """
     basis = build_basis(2, photon_cap)
     mean = abs(alpha) ** 2
+    tail = _poisson_tail(mean, photon_cap, "phase-averaged")
     weights = _poisson_weights(mean, photon_cap)
-    diag = np.where(basis.counts(_SIGNAL_H) == 0,
+    pops = np.where(basis.counts(_SIGNAL_H) == 0,
                     weights[basis.counts(_SIGNAL_V)], 0.0)
-    m = np.diag(diag.astype(complex))
-    return DensityOperator(basis, m), _poisson_tail(mean, photon_cap)
+    return State(basis, np.zeros(basis.size), pops), tail
 
 
 def ppbs_cz_circuit() -> list[ModeTransform]:
@@ -350,17 +341,17 @@ def _prepare_signal(
         return two_mode_coherent(0.0, spec.alpha_at_gate, photon_cap)
     if spec.kind == "phase_averaged":
         return phase_averaged_state(spec.alpha_at_gate, photon_cap)
-    state = qubit_truncated_state(spec.alpha, photon_cap)
-    if spec.loss == 0.0:
-        return state, 0.0
-    # psi' = c0|0> + sqrt(1-L) c1|1>, and the lost weight L |c1|^2 on |0>
-    vac, one = (state.basis.index_of((0, n)) for n in (0, 1))
-    psi = state.amplitudes.copy()
-    lost = spec.loss * abs(psi[one]) ** 2
-    psi[one] = psi[vac] * spec.alpha_at_gate
-    rho = np.outer(psi, psi.conj())
-    rho[vac, vac] += lost
-    return DensityOperator(state.basis, rho), 0.0
+    # N(|0> + alpha_at_gate |1>), and the weight L |N alpha|^2 that loss
+    # takes from |1> on the vacuum
+    basis = build_basis(2, photon_cap)
+    vac, one = (basis.index_of((0, n)) for n in (0, 1))
+    pref = math.exp(-abs(spec.alpha) ** 2 / 2.0)
+    psi = np.zeros(basis.size, dtype=complex)
+    psi[vac] = pref
+    psi[one] = pref * spec.alpha_at_gate
+    pops = np.zeros(basis.size)
+    pops[vac] = spec.loss * abs(pref * spec.alpha) ** 2
+    return State(basis, psi, pops), 0.0
 
 
 @lru_cache(maxsize=None)
@@ -431,27 +422,20 @@ def herald_operators(
 
 
 def apply_herald(m: np.ndarray, state: State) -> tuple[State | None, float]:
-    """Conditional state of the diagonal herald m, renormalized, and its
-    probability: m_i psi_i or m_i rho_ij conj(m_j).  The state is None when
-    the probability vanishes or is not a number."""
-    if isinstance(state, StateVector):
-        c = m * state.amplitudes
-        prob = float(np.vdot(c, c).real)
-        if not prob > ZERO_PROBABILITY:
-            return None, prob
-        return StateVector(state.basis, c / math.sqrt(prob)), prob
-    rho = m[:, None] * state.matrix * m.conj()[None, :]
-    prob = float(np.trace(rho).real)
+    """Conditional state of the diagonal herald m and its probability P.
+    The herald keeps the form |psi><psi| + diag(p): the state is
+    m psi / sqrt(P) plus |m|^2 p / P.  It is None when P vanishes or is not
+    a number."""
+    c = m * state.amplitudes
+    q = (m * state.populations * m.conj()).real
+    prob = float(np.vdot(c, c).real + q.sum())
     if not prob > ZERO_PROBABILITY:
         return None, prob
-    return DensityOperator(state.basis, rho / prob), prob
+    return State._derived(state.basis, c / math.sqrt(prob), q / prob), prob
 
 
 def _weight_at_cap(state: State) -> float:
-    at_cap = state.basis.at_cap()
-    if isinstance(state, StateVector):
-        return float(np.sum(np.abs(state.amplitudes[at_cap]) ** 2))
-    return float(np.sum(np.diag(state.matrix).real[at_cap]))
+    return float(state.weights()[state.basis.at_cap()].sum())
 
 
 def _signal_order(
@@ -478,19 +462,20 @@ def run_nla(
     """One heralded amplifier run.
 
     Applies M(phi) = (K_HH - e^{i phi} K_VV)/2 of the gate's meter
-    diagonals to the signal.  A prebuilt signal state must live on the two
-    fixed signal modes at the cap.  Returns the conditional signal state, the
-    herald probability, the conditional one-photon probability of the
-    signal V mode and the truncation weight: the prepared tail beyond the
-    cap plus the signal weight at the cap, which has no room for the meter
-    photon, and for a pure conditional state of a spec the amplitude gain
+    diagonals to the signal's pure part and populations (see apply_herald).
+    A prebuilt signal state must live on the two fixed signal modes at the
+    cap.  Returns the conditional signal state, the herald probability, the
+    conditional one-photon probability of the signal V mode and the
+    truncation weight: the prepared tail beyond the cap plus the signal
+    weight at the cap, which has no room for the meter photon, and for a
+    pure conditional state (no populations) of a spec the amplitude gain
     c1 / (c0 alpha_at_gate).  The run is the same on every layout: the layout
     only names the modes of the conditional state, whose basis then covers
     the layout's two signal modes (see _signal_order).
     """
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
     basis, k_hh, k_vv = herald_operators(gate, photon_cap)
-    if isinstance(signal, (StateVector, DensityOperator)):
+    if isinstance(signal, State):
         if signal.basis != basis:
             raise ValueError(
                 f"signal basis {signal.basis} is not the signal modes at cap "
@@ -511,16 +496,15 @@ def run_nla(
     p1 = fock.occupancy_probability(cond, _SIGNAL_V, 1)
     amp_gain = None
     alpha = spec.alpha_at_gate if spec is not None else 0
-    if isinstance(cond, StateVector) and alpha != 0:
+    if alpha != 0 and not cond.populations.any():
         c0 = cond.amplitudes[basis.index_of((0, 0))]
         c1 = cond.amplitudes[basis.index_of((0, 1))]
         if abs(c0) > 0:
             amp_gain = complex(c1 / (c0 * alpha))
     if layout != DEFAULT_LAYOUT:
         named, order = _signal_order(layout.signal, photon_cap)
-        cond = (StateVector(named, cond.amplitudes[order])
-                if isinstance(cond, StateVector)
-                else DensityOperator(named, cond.matrix[np.ix_(order, order)]))
+        cond = State._derived(named, cond.amplitudes[order],
+                              cond.populations[order])
     return ProtocolOutcome(cond, prob, p1, truncation, amp_gain)
 
 

@@ -4,10 +4,11 @@ Most of what is here works on plain dicts mapping occupation tuples to
 complex amplitudes and deliberately avoids the package's permanent-based code
 paths, so the two implementations can be compared against each other.  The
 last section holds the loop-based routes that only tests need: splitters and
-waveplates as mode transforms, partial traces, a density-matrix check,
-loss as an explicit Kraus sum (and a lossy signal built with it), the
-pair-loop tensor product of pure states, and the pair products of two
-ladders formed from their float parts.
+waveplates as mode transforms, the dense density matrix of a state, partial
+traces, a density-matrix check, loss as an explicit Kraus sum (and a lossy
+signal built with it), the pair-loop tensor product of pure states, and the
+pair products of two ladders formed from their float parts.  Density
+matrices here are plain arrays over a basis.
 """
 
 from __future__ import annotations
@@ -26,10 +27,9 @@ from nla_weaksim.elements import (
     vacuum_restriction,
 )
 from nla_weaksim.fock import (
-    DensityOperator,
     FockBasis,
     ModeTransform,
-    StateVector,
+    State,
     build_basis,
 )
 
@@ -321,15 +321,22 @@ def meter_waveplate_angles(phi):
     return WaveplateSetting("hwp", h), WaveplateSetting("qwp", math.pi / 4.0)
 
 
-def partial_trace(state, trace_modes):
-    """Trace out the given modes; always returns a density operator.
+def dense(state):
+    """Density matrix |psi><psi| + diag(p) of a state, as one array."""
+    psi = state.amplitudes
+    return np.outer(psi, psi.conj()) + np.diag(state.populations)
 
-    Tracing every mode leaves the zero-mode basis, i.e. a 1x1 operator whose
+
+def partial_trace(state, trace_modes):
+    """Trace out the given modes; returns the basis of the rest and its
+    density matrix.
+
+    Tracing every mode leaves the zero-mode basis, i.e. a 1x1 matrix whose
     entry is the trace of the input.
     """
-    rho = state.to_density() if isinstance(state, StateVector) else state
+    rho = dense(state)
     trace_modes = tuple(trace_modes)
-    sb = rho.basis
+    sb = state.basis
     for m in trace_modes:
         sb.position(m)  # raises on unknown modes
     rest_modes = tuple(m for m in sb.modes if m not in trace_modes)
@@ -345,15 +352,15 @@ def partial_trace(state, trace_modes):
     for pairs in groups.values():
         js = [j for j, _ in pairs]
         rs = [r for _, r in pairs]
-        out[np.ix_(rs, rs)] += rho.matrix[np.ix_(js, js)]
-    return DensityOperator(rest, out)
+        out[np.ix_(rs, rs)] += rho[np.ix_(js, js)]
+    return rest, out
 
 
 def validate_density(rho, atol=1e-10):
     """Raise unless the density matrix is Hermitian and positive within atol."""
-    if not np.allclose(rho.matrix, rho.matrix.conj().T, atol=atol):
+    if not np.allclose(rho, rho.conj().T, atol=atol):
         raise ValueError("density matrix is not Hermitian")
-    eigs = np.linalg.eigvalsh(rho.matrix)
+    eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -atol:
         raise ValueError(f"density matrix has negative eigenvalue {eigs.min()}")
 
@@ -383,12 +390,12 @@ def loss_kraus(loss, mode, basis):
     return ops
 
 
-def loss_kraus_sum(loss, mode, state):
-    """Density matrix after loss as the Kraus sum sum_k K rho K^T."""
-    rho = state.to_density() if isinstance(state, StateVector) else state
-    out = np.zeros_like(rho.matrix)
-    for k in loss_kraus(loss, mode, rho.basis):
-        out = out + k @ rho.matrix @ k.T
+def loss_kraus_sum(loss, mode, basis, rho):
+    """Density matrix rho over the basis after loss, as the Kraus sum
+    sum_k K rho K^T."""
+    out = np.zeros_like(rho)
+    for k in loss_kraus(loss, mode, basis):
+        out = out + k @ rho @ k.T
     return out
 
 
@@ -406,15 +413,15 @@ def lossy_signal(kind, alpha, loss, cap, long_cap=40):
         mean = abs(alpha) ** 2
         pops = [math.exp(-mean) * mean**n / math.factorial(n)
                 for n in range(long_cap + 1)]
-        state = DensityOperator(ladder, np.diag(pops).astype(complex))
+        rho = np.diag(pops).astype(complex)
     else:
         amps = np.zeros(long_cap + 1, dtype=complex)
         if kind == "coherent":
             amps[:] = coherent_amps(alpha, long_cap)
         else:
             amps[:2] = math.exp(-abs(alpha) ** 2 / 2.0) * np.array([1.0, alpha])
-        state = StateVector(ladder, amps)
-    rho = loss_kraus_sum(loss, DEFAULT_LAYOUT.signal_v, state)
+        rho = np.outer(amps, amps.conj())
+    rho = loss_kraus_sum(loss, DEFAULT_LAYOUT.signal_v, ladder, rho)
     basis = build_basis(2, cap)
     keep = [basis.index_of((0, n)) for n in range(cap + 1)]
     out = np.zeros((basis.size, basis.size), dtype=complex)
@@ -427,21 +434,18 @@ class ModeOverlapError(ValueError):
 
 
 def tensor(
-    a: StateVector,
-    b: StateVector,
+    a: State,
+    b: State,
     photon_cap: int | None = None,
-) -> tuple[StateVector, float]:
+) -> tuple[State, float]:
     """Join pure states on disjoint mode sets; returns (state, discarded weight).
 
     With the default cap (sum of the factor caps) nothing is discarded; a
     tighter cap drops the over-cap components and reports their probability
     weight instead of failing silently.
     """
-    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
-        raise TypeError(
-            f"tensor joins pure states (StateVector), got "
-            f"{type(a).__name__} and {type(b).__name__}"
-        )
+    if a.populations.any() or b.populations.any():
+        raise ValueError("tensor joins pure states (no populations)")
     ba, bb = a.basis, b.basis
     if set(ba.modes) & set(bb.modes):
         raise ModeOverlapError(f"modes overlap: {ba.modes} vs {bb.modes}")
@@ -469,7 +473,7 @@ def tensor(
                 amps[basis.index_of(tuple(occ))] = va * vb
             else:
                 discarded += abs(va * vb) ** 2
-    return StateVector(basis, amps), discarded
+    return State(basis, amps), discarded
 
 
 def pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:

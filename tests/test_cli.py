@@ -428,12 +428,16 @@ def test_parse_route_matches_the_full_tree(args, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("args", [
     ["protocol", "--gain", "3", "--alpha2", "5", "--cap", "4"],
     ["visibility", "--alpha", "3", "--cap", "4"],
-], ids=["protocol", "visibility"])
+    # the phase-averaged Poisson ladder faces the coherent one's bound
+    ["protocol", "--signal", "phase-averaged", "--gain", "3", "--alpha2", "5",
+     "--cap", "2", "--format", "csv"],
+], ids=["protocol", "visibility", "phase-averaged"])
 def test_truncation_names_the_cap_option(args, capsys):
     assert main(args) == 2
     captured = capsys.readouterr()
+    kind = "phase-averaged" if "phase-averaged" in args else "coherent"
     assert captured.out == ""
-    assert captured.err.startswith("error: coherent tail ")
+    assert captured.err.startswith(f"error: {kind} tail ")
     assert captured.err.endswith("; raise --cap\n")
 
 

@@ -22,7 +22,7 @@ from nla_weaksim.experiment import (
     true_input_size,
     visibility_experiment,
 )
-from nla_weaksim.fock import StateVector, build_basis
+from nla_weaksim.fock import State, build_basis
 from nla_weaksim.protocol import SignalSpec, two_mode_coherent
 
 
@@ -31,7 +31,7 @@ def test_state_size_is_vacuum_relative_odds():
     assert state_size(state, DEFAULT_LAYOUT.signal_v) == pytest.approx(
         4e-4, rel=1e-12)
     basis = build_basis(1, 1, modes=(0,))
-    bare_photon = StateVector(basis, np.array([0.0, 1.0], dtype=complex))
+    bare_photon = State(basis, np.array([0.0, 1.0], dtype=complex))
     with pytest.raises(ZeroDivisionError):
         state_size(bare_photon, 0)
 

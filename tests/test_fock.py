@@ -11,9 +11,8 @@ import oracles
 from nla_weaksim import fock
 from nla_weaksim.fock import (
     BasisSizeError,
-    DensityOperator,
     ModeTransform,
-    StateVector,
+    State,
     basis_size,
     build_basis,
     compose_transforms,
@@ -204,7 +203,15 @@ def test_compose_transforms_order(rng):
 def _coherent_vector(alpha, cap, mode):
     basis = build_basis(1, cap, modes=(mode,))
     amps = np.array(oracles.coherent_amps(alpha, cap))
-    return StateVector(basis, amps)
+    return State(basis, amps)
+
+
+def _amp(state, occ):
+    return complex(state.amplitudes[state.basis.index_of(occ)])
+
+
+def _norm2(state):
+    return float(np.sum(np.abs(state.amplitudes) ** 2))
 
 
 def test_tensor_product_pure_states():
@@ -213,8 +220,8 @@ def test_tensor_product_pure_states():
     joint, dropped = tensor(a, b)
     assert joint.basis.photon_cap == 6
     assert dropped == 0.0
-    assert joint.amplitude((1, 2)) == pytest.approx(
-        a.amplitude((1,)) * b.amplitude((2,)), rel=1e-12
+    assert _amp(joint, (1, 2)) == pytest.approx(
+        _amp(a, (1,)) * _amp(b, (2,)), rel=1e-12
     )
 
 
@@ -224,7 +231,7 @@ def test_tensor_truncation_reports_dropped_weight():
     full, _ = tensor(a, b)
     cut, dropped = tensor(a, b, photon_cap=3)
     lost = sum(
-        abs(full.amplitude(occ)) ** 2
+        abs(_amp(full, occ)) ** 2
         for occ in full.basis.occupations
         if sum(occ) > 3
     )
@@ -242,8 +249,11 @@ def test_tensor_rejects_shared_modes():
 def test_tensor_takes_pure_states_only():
     a = _coherent_vector(0.3, 2, 0)
     b = _coherent_vector(0.2, 2, 1)
-    for x, y in ((a.to_density(), b), (a, b.to_density())):
-        with pytest.raises(TypeError, match="pure states"):
+    def mixed(s):
+        return State(s.basis, s.amplitudes, np.abs(s.amplitudes) ** 2)
+
+    for x, y in ((mixed(a), b), (a, mixed(b))):
+        with pytest.raises(ValueError, match="pure states"):
             tensor(x, y)
 
 
@@ -251,41 +261,41 @@ def test_partial_trace_of_product_state():
     a = _coherent_vector(0.3, 2, 0)
     b = _coherent_vector(0.2, 2, 1)
     joint, _ = tensor(a, b)
-    reduced = partial_trace(joint, (1,))
+    rest, reduced = partial_trace(joint, (1,))
     # joint cap is the sum, so embed the factor in the larger ladder
-    padded = np.zeros(reduced.basis.size, dtype=complex)
+    padded = np.zeros(rest.size, dtype=complex)
     padded[: a.basis.size] = a.amplitudes
-    expect = np.outer(padded, padded.conj()) * (b.norm() ** 2)
-    assert np.max(np.abs(reduced.matrix - expect)) < 1e-12
-    everything = partial_trace(joint, (0, 1))
-    assert everything.matrix.shape == (1, 1)
-    assert everything.trace() == pytest.approx(joint.norm() ** 2, rel=1e-12)
+    expect = np.outer(padded, padded.conj()) * _norm2(b)
+    assert np.max(np.abs(reduced - expect)) < 1e-12
+    _, everything = partial_trace(joint, (0, 1))
+    assert everything.shape == (1, 1)
+    assert everything[0, 0].real == pytest.approx(_norm2(joint), rel=1e-12)
 
 
 def test_occupancy_probability_and_distribution():
     a = _coherent_vector(0.3, 3, 0)
     dist = occupancy_distribution(a, 0)
-    assert dist.sum() == pytest.approx(a.norm() ** 2, rel=1e-12)
+    assert dist.sum() == pytest.approx(_norm2(a), rel=1e-12)
     assert occupancy_probability(a, 0, 1) == pytest.approx(
-        abs(a.amplitude((1,))) ** 2, rel=1e-12
+        abs(_amp(a, (1,))) ** 2, rel=1e-12
     )
 
 
 @pytest.mark.parametrize("num_modes, cap", [(1, 3), (2, 4), (3, 3)])
 def test_occupancy_distribution_matches_loop_sum(rng, num_modes, cap):
-    """The cached-count marginal adds the same weights in the same order as
-    a loop over occupation tuples, so it agrees exactly."""
+    """The cached-count marginal adds the same weights |psi|^2 + p in the
+    same order as a loop over occupation tuples, so it agrees exactly; the
+    weights are the diagonal of the dense density matrix."""
     modes = tuple(range(2, 2 + num_modes))
     basis = build_basis(num_modes, cap, modes=modes)
     v = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     w = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
-    pure = StateVector(basis, v)
-    mixed = DensityOperator(basis, np.outer(v, v.conj()) + np.outer(w, w.conj()))
+    pure = State(basis, v)
+    mixed = State(basis, v, np.abs(w) ** 2)
     for state in (pure, mixed):
-        if isinstance(state, StateVector):
-            weights = np.abs(state.amplitudes) ** 2
-        else:
-            weights = np.diag(state.matrix).real
+        weights = np.abs(state.amplitudes) ** 2 + state.populations
+        diag = np.diag(oracles.dense(state))
+        assert np.max(np.abs(weights - diag) / diag.real) < 1e-14
         for mode in modes:
             pos = basis.position(mode)
             loop = [
@@ -313,12 +323,32 @@ def test_density_operator_path():
     a = _coherent_vector(0.2, 2, 0)
     b = _coherent_vector(0.1, 2, 1)
     joint, _ = tensor(a, b, photon_cap=2)
-    rho = joint.to_density()
-    assert isinstance(rho, DensityOperator)
-    lifted = lift_mode_transform(beamsplitter(0.5, (0, 1)), rho.basis)
-    moved = DensityOperator(rho.basis, lifted @ rho.matrix @ lifted.conj().T)
-    assert moved.trace() == pytest.approx(rho.trace(), rel=1e-12)
+    rho = oracles.dense(joint)
+    lifted = lift_mode_transform(beamsplitter(0.5, (0, 1)), joint.basis)
+    moved = lifted @ rho @ lifted.conj().T
+    assert np.trace(moved).real == pytest.approx(np.trace(rho).real, rel=1e-12)
     oracles.validate_density(rho)
+    oracles.validate_density(moved)
+
+
+def test_state_rejects_bad_populations():
+    # p is an incoherent weight per basis state: real, finite, nonnegative
+    basis = build_basis(2, 2)
+    amps = np.zeros(basis.size)
+    for entry in (-1e-300, np.nan, np.inf):
+        pops = np.zeros(basis.size)
+        pops[1] = entry
+        with pytest.raises(ValueError, match="populations"):
+            State(basis, amps, pops)
+    for size in (basis.size - 1, basis.size + 1):
+        with pytest.raises(ValueError, match="populations"):
+            State(basis, amps, np.zeros(size))
+    with pytest.raises(ValueError, match="amplitudes"):
+        State(basis, np.zeros(basis.size - 1))
+    state = State(basis, amps)
+    assert state.populations.tolist() == [0.0] * basis.size
+    assert not state.populations.flags.writeable
+    assert not state.amplitudes.flags.writeable
 
 
 @st.composite

@@ -14,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 import oracles
 from nla_weaksim import experiment, fock, protocol
 from nla_weaksim.elements import DEFAULT_LAYOUT, ModeLayout
-from nla_weaksim.fock import DensityOperator, StateVector, TruncationError, build_basis
+from nla_weaksim.fock import State, TruncationError, build_basis
 from nla_weaksim.protocol import (
     InfiniteGainError,
     MeterSetting,
@@ -35,12 +35,12 @@ PHI_GRID = [math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
 
 
 def test_truncated_coherent_amplitudes_and_tail():
-    amps, tail = protocol._coherent_ladder(0.1, 3, 1e-3)
+    amps, tail = protocol._coherent_ladder(0.1, 3)
     expect = oracles.coherent_amps(0.1, 3)
     assert np.allclose(amps, expect, atol=1e-15)
     assert tail == pytest.approx(4.133472e-10, rel=1e-5)
     assert tail == pytest.approx(oracles.poisson_tail(0.01, 3), rel=1e-9)
-    _, tail3 = protocol._coherent_ladder(0.3, 3, 1e-3)
+    _, tail3 = protocol._coherent_ladder(0.3, 3)
     assert tail3 == pytest.approx(2.544115e-06, rel=1e-5)
 
 
@@ -51,21 +51,25 @@ def test_poisson_tail_is_summed_not_cancelled(mean, cap):
     would cancel to 0 or to rounding noise."""
     alpha = math.sqrt(mean)
     want = oracles.poisson_tail(abs(alpha) ** 2, cap)
-    _, tail = protocol._coherent_ladder(alpha, cap, 1e-3)
+    _, tail = protocol._coherent_ladder(alpha, cap)
     _, tail_mixed = phase_averaged_state(alpha, cap)
     assert tail == pytest.approx(want, rel=1e-12, abs=0.0)
     assert tail_mixed == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_poisson_tail_of_a_large_mean():
+def test_poisson_tail_of_a_large_mean(monkeypatch):
     # most of the weight is beyond the cap, where one minus the head is exact
+    monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
     _, tail = phase_averaged_state(3.0, 2)
     assert tail == pytest.approx(oracles.poisson_tail(9.0, 2), rel=1e-12, abs=0.0)
 
 
 def test_truncated_coherent_rejects_large_tail():
     with pytest.raises(TruncationError):
-        protocol._coherent_ladder(1.5, 3, 1e-3)
+        protocol._coherent_ladder(1.5, 3)
+    # the phase-averaged ladder has the same tail and faces the same bound
+    with pytest.raises(TruncationError, match="phase-averaged tail"):
+        phase_averaged_state(1.5, 3)
 
 
 def test_meter_state_and_projector_overlap():
@@ -159,22 +163,19 @@ def test_herald_probability_never_exceeds_input_trace(gate, cap, phi, mixed,
     # M(phi) and K_HH are blocks of the lifted gate, a contraction, between
     # unit meter states, so no herald keeps more than the input weight
     basis, k_hh, _ = herald_operators(gate, cap)
-    rank = data.draw(st.integers(1, basis.size)) if mixed else 1
-    parts = [
-        data.draw(arrays(float, (basis.size, rank),
-                         elements=st.floats(-1.0, 1.0)))
-        for _ in range(2)
-    ]
-    g = parts[0] + 1j * parts[1]
+
+    def draw(lo):
+        return data.draw(arrays(float, basis.size, elements=st.floats(lo, 1.0)))
+
+    psi = draw(-1.0) + 1j * draw(-1.0)
+    pops = draw(0.0) if mixed else np.zeros(basis.size)
     if data.draw(st.booleans()):
         # below the cap the ideal gate's K_HH keeps all of the weight
-        g[np.array(basis.totals()) == cap] = 0.0
-    if mixed:
-        state = DensityOperator(basis, g @ g.conj().T)
-        weight = state.trace()
-    else:
-        state = StateVector(basis, g[:, 0])
-        weight = state.norm() ** 2
+        at_cap = np.array(basis.totals()) == cap
+        psi[at_cap] = 0.0
+        pops[at_cap] = 0.0
+    state = State(basis, psi, pops)
+    weight = np.trace(oracles.dense(state)).real
     # run_nla applies M(phi) to a prebuilt state on the herald basis
     for prob in (run_nla(state, phi, gate, photon_cap=cap).herald_probability,
                  apply_herald(k_hh, state)[1]):
@@ -237,7 +238,7 @@ def test_run_matches_brute_force_reference():
                     sum(abs(a) ** 2 for a in ref_cond.values())
                 )
                 for occ, amp in ref_cond.items():
-                    got = cond.amplitude(occ)
+                    got = cond.amplitudes[cond.basis.index_of(occ)]
                     assert got == pytest.approx(amp / norm, abs=1e-10)
 
 
@@ -266,7 +267,8 @@ def test_diagonal_input_matches_weighted_reference():
                     want += w * np.outer(vec, vec.conj())
                     prob += w * p
                 assert out.herald_probability == pytest.approx(prob, rel=1e-10)
-                got = out.conditional_state.matrix * out.herald_probability
+                got = (oracles.dense(out.conditional_state)
+                       * out.herald_probability)
                 assert np.max(np.abs(got - want)) < 1e-12
                 assert out.truncation_weight == pytest.approx(
                     weights[cap]
@@ -282,25 +284,51 @@ def test_diagonal_input_matches_weighted_reference():
 def test_prepared_lossy_signal_is_loss_then_cut(kind, loss, cap):
     # loss on a ladder far past the cap, then the cut, is the state that
     # attenuation prepares; the signal keeps its family: a coherent one
-    # stays pure, a phase-averaged one diagonal, and only a lossy two-level
-    # one is mixed
+    # stays pure, a phase-averaged one has no pure part, and only a lossy
+    # two-level one has both parts
     rng = np.random.default_rng([cap, int(10 * loss), len(kind)])
     for _ in range(3):
         alpha = cmath.rect(rng.uniform(0.05, 0.3), rng.uniform(-math.pi, math.pi))
         state, tail = prepare_signal(SignalSpec(kind, alpha, loss=loss), cap)
         want = oracles.lossy_signal(kind, alpha, loss, cap)
         pure = kind == "coherent" or kind == "qubit_truncated" and loss == 0.0
-        assert isinstance(state, StateVector if pure else DensityOperator)
-        got = (state.to_density() if pure else state).matrix
+        assert state.populations.any() != pure
+        got = oracles.dense(state)
         assert np.max(np.abs(got - want)) < 1e-14
         if kind == "phase_averaged":
-            assert np.count_nonzero(got - np.diag(np.diag(got))) == 0
+            assert not state.amplitudes.any()
         if kind == "qubit_truncated":
             assert tail == 0.0
         else:
             mean = (1.0 - loss) * abs(alpha) ** 2
             assert tail == pytest.approx(oracles.poisson_tail(mean, cap),
                                          rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("cap", [2, 4, 8])
+@pytest.mark.parametrize("loss", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("kind", ["coherent", "phase_averaged",
+                                  "qubit_truncated"])
+def test_conditional_state_is_the_dense_herald(kind, loss, cap):
+    # the herald maps psi to M psi and p to |M|^2 p: on the dense matrix
+    # that is M rho M^dag, renormalized by its trace, the herald probability
+    rng = np.random.default_rng([cap, int(10 * loss), len(kind), 1])
+    for gate in ("ppbs", "ideal"):
+        _, k_hh, k_vv = herald_operators(gate, cap)
+        for phi in (0.4, 1.1, 2.0, math.pi):
+            alpha = cmath.rect(rng.uniform(0.05, 0.3),
+                               rng.uniform(-math.pi, math.pi))
+            spec = SignalSpec(kind, alpha, loss=loss)
+            m = (k_hh - cmath.exp(1.0j * phi) * k_vv) / 2.0
+            rho = oracles.dense(prepare_signal(spec, cap)[0])
+            rho = m[:, None] * rho * m.conj()[None, :]
+            prob = np.trace(rho).real
+            out = run_nla(spec, phi, gate, photon_cap=cap)
+            assert out.herald_probability == pytest.approx(prob, rel=1e-13)
+            cond = out.conditional_state
+            assert np.max(np.abs(oracles.dense(cond) - rho / prob)) < 1e-14
+            assert not cond.amplitudes.flags.writeable
+            assert not cond.populations.flags.writeable
 
 
 def test_lossy_coherent_run_is_the_attenuated_lossless_run():
@@ -510,11 +538,8 @@ def test_a_layout_only_names_the_modes_of_the_output(layout):
         h, v = (cond.basis.position(m) for m in layout.signal)
         order = [ref.basis.index_of((occ[h], occ[v]))
                  for occ in cond.basis.occupations]
-        if isinstance(cond, StateVector):
-            assert cond.amplitudes.tobytes() == ref.amplitudes[order].tobytes()
-        else:
-            got, want = cond.matrix, ref.matrix[np.ix_(order, order)]
-            assert got.tobytes() == want.tobytes()
+        assert cond.amplitudes.tobytes() == ref.amplitudes[order].tobytes()
+        assert cond.populations.tobytes() == ref.populations[order].tobytes()
         for field in ("herald_probability", "p1_out", "truncation_weight",
                       "amplitude_gain"):
             assert getattr(out, field) == getattr(base, field)
@@ -615,20 +640,23 @@ def test_phase_insensitivity(theta):
 
 @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ModeLayout(1, 0, 2, 3)],
                          ids=["default", "swapped"])
-def test_phase_averaged_diagonal_equals_the_per_n_loop(layout):
-    # on a layout, in the order in which run_nla names its output modes
+def test_phase_averaged_diagonal_equals_the_per_n_loop(layout, monkeypatch):
+    # on a layout, in the order in which run_nla names its output modes;
+    # |alpha| = 1.5 leaves most of its weight beyond these caps
+    monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
     for cap in (2, 3, 5):
         basis, order = protocol._signal_order(layout.signal, cap)
         vpos = basis.position(layout.signal_v)
         for alpha in (0.0, 0.03, 0.2 + 0.1j, 1.5):
             rho, _ = phase_averaged_state(alpha, cap)
-            got = rho.matrix[np.ix_(order, order)]
+            assert not rho.amplitudes.any()
+            got = rho.populations[order]
             mean = abs(alpha) ** 2
-            want = np.zeros((basis.size, basis.size), dtype=complex)
+            want = np.zeros(basis.size)
             for n in range(cap + 1):
                 occ = [0, 0]
                 occ[vpos] = n
-                want[basis.index_of(tuple(occ)), basis.index_of(tuple(occ))] = (
+                want[basis.index_of(tuple(occ))] = (
                     math.exp(-mean) * mean**n / math.factorial(n)
                 )
             assert got.dtype == want.dtype
@@ -663,12 +691,12 @@ def test_phase_averaged_equals_quadrature_average():
 def test_loss_before_gate_produces_mixed_signal():
     spec = SignalSpec("qubit_truncated", 0.5, loss=0.6)
     state, _ = prepare_signal(spec, 3)
-    assert isinstance(state, DensityOperator)
+    assert state.populations.any()
     n2 = math.exp(-0.25)
     p1 = fock.occupancy_probability(state, DEFAULT_LAYOUT.signal_v, 1)
     assert p1 == pytest.approx(n2 * 0.25 * 0.4, rel=1e-12)
     out = run_nla(spec, MeterSetting(1.1))
-    assert isinstance(out.conditional_state, DensityOperator)
+    assert out.conditional_state.populations.any()
     assert out.amplitude_gain is None
 
 
@@ -680,7 +708,8 @@ def test_two_mode_coherent_is_product():
     hpos = basis.position(DEFAULT_LAYOUT.signal_h)
     for occ in basis.occupations:
         nh, nv = occ[hpos], occ[1 - hpos]
-        assert state.amplitude(occ) == pytest.approx(a[nh] * b[nv], abs=1e-15)
+        got = state.amplitudes[basis.index_of(occ)]
+        assert got == pytest.approx(a[nh] * b[nv], abs=1e-15)
     assert tail < 1e-9
 
 
@@ -690,10 +719,12 @@ _SPREAD = ModeLayout(5, 2, 11, 0)  # signal H sorts after signal V
 @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, _SPREAD],
                          ids=["default", "spread"])
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
-def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout):
+def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout, monkeypatch):
     # the gathered product, in the order in which run_nla names the layout's
     # output modes, holds the bits of the pair loop on those modes, and the
-    # weight over the cap adds the same terms in the same order
+    # weight over the cap adds the same terms in the same order; the bound
+    # admits every tail, as some pairs leave more than 1e-3 beyond cap 2
+    monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
     rng = np.random.default_rng(cap)
     pairs = [(0.0, 0.3 + 0.2j), (0.0, 0.0), (0.25 - 0.1j, 0.3 + 0.2j),
              (-0.4j, 0.15), (0.2, -0.35 - 0.05j), (0.3 + 0.3j, 0.0)]
@@ -701,13 +732,12 @@ def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout):
               for _ in range(6)]
     basis, order = protocol._signal_order(layout.signal, cap)
     for alpha_h, alpha_v in pairs:
-        amps_h, tail_h = protocol._coherent_ladder(alpha_h, cap, 1.0)
-        amps_v, tail_v = protocol._coherent_ladder(alpha_v, cap, 1.0)
-        h, v = (StateVector(build_basis(1, cap, modes=(mode,)), amps)
+        amps_h, tail_h = protocol._coherent_ladder(alpha_h, cap)
+        amps_v, tail_v = protocol._coherent_ladder(alpha_v, cap)
+        h, v = (State(build_basis(1, cap, modes=(mode,)), amps)
                 for mode, amps in zip(layout.signal, (amps_h, amps_v)))
         want, dropped = oracles.tensor(h, v, photon_cap=cap)
-        state, weight = two_mode_coherent(alpha_h, alpha_v, cap,
-                                          truncation_bound=1.0)
+        state, weight = two_mode_coherent(alpha_h, alpha_v, cap)
         got = state.amplitudes[order]
         assert basis == want.basis
         assert np.array_equal(got, want.amplitudes)
@@ -718,9 +748,10 @@ def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout):
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7, 8])
-def test_pair_products_match_the_float_part_oracle(cap):
+def test_pair_products_match_the_float_part_oracle(cap, monkeypatch):
     # scalar complex products round as the float-part formulas do, and a
     # zero factor gives +0 whatever the signs of the other's parts
+    monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
     rng = np.random.default_rng(100 + cap)
     ladders = []
     for _ in range(20):
@@ -731,7 +762,7 @@ def test_pair_products_match_the_float_part_oracle(cap):
         ladders.append((h, v))
     for g2 in (2.0, 3.0, 4.0, 5.0):
         for mag in (0.0015, 0.3):
-            ladders.append(tuple(protocol._coherent_ladder(a, cap, 1.0)[0]
+            ladders.append(tuple(protocol._coherent_ladder(a, cap)[0]
                                  for a in (math.sqrt(g2) * mag, mag)))
     for h, v in ladders:
         got = np.array(protocol._pair_products(h, v))
@@ -802,14 +833,14 @@ def test_signal_spec_validation():
 
 
 def test_ladders_past_170_are_finite_and_keep_the_closed_form_below():
-    amps, tail = protocol._coherent_ladder(0.1, 171, 1e-3)
+    amps, tail = protocol._coherent_ladder(0.1, 171)
     assert np.all(np.isfinite(amps)) and tail == 0.0
     pref = math.exp(-0.01 / 2.0)
     assert amps[:171].tolist() == [
         complex(pref * 0.1**n / math.sqrt(math.factorial(n))) for n in range(171)
     ]
     # past 170 each term is the last one times alpha / sqrt(n)
-    a, _ = protocol._coherent_ladder(8.0, 300, 1e-12)
+    a, _ = protocol._coherent_ladder(8.0, 300)
     assert np.all(np.isfinite(a))
     past = np.arange(171, 175)
     assert a[171:175] == pytest.approx(a[170:174] * 8.0 / np.sqrt(past), rel=1e-15)
@@ -823,7 +854,7 @@ def test_ladders_past_170_are_finite_and_keep_the_closed_form_below():
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ladders_continue_where_the_closed_form_power_overflows():
+def test_ladders_continue_where_the_closed_form_power_overflows(monkeypatch):
     # 144^n passes the largest float below n = 170: the weights before it
     # keep the bits of the closed form, the rest follow w_n = w_{n-1} mean / n
     first = 0
@@ -842,8 +873,10 @@ def test_ladders_continue_where_the_closed_form_power_overflows():
     # at |alpha| = 70 the power overflows too, but exp(-|alpha|^2 / 2)
     # already underflows to 0: the amplitudes are 0 and the tail is all of
     # the weight, so only a bound of 1 admits them
-    amps, tail = protocol._coherent_ladder(70 + 0j, 6000, 1.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
+        amps, tail = protocol._coherent_ladder(70 + 0j, 6000)
     assert amps.shape == (6001,) and not np.any(amps) and tail == 1.0
     for alpha in (70 + 0j, 70):
         with pytest.raises(TruncationError, match="beyond cap 6000"):
-            protocol._coherent_ladder(alpha, 6000, 1e-3)
+            protocol._coherent_ladder(alpha, 6000)
