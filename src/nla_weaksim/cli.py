@@ -35,7 +35,6 @@ from .experiment import (
     gain_sweep,
     gain_vs_phi,
     measure_input_size,
-    state_size,
     true_input_size,
     visibility_experiment,
 )
@@ -162,9 +161,8 @@ CONFIG_EXCLUDE = {"config", "output", "fn"}
 
 
 def _effective_config(ns: argparse.Namespace) -> dict:
-    return {
-        k: v for k, v in sorted(vars(ns).items()) if k not in CONFIG_EXCLUDE
-    }
+    """The options a JSON envelope records; the envelope sorts them."""
+    return {k: v for k, v in vars(ns).items() if k not in CONFIG_EXCLUDE}
 
 
 def _load_config(path: str) -> dict:
@@ -217,9 +215,8 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
         raise NumericalFailure(
             f"herald probability {out.herald_probability:.3e} vanished"
         )
-    try:
-        size_out = state_size(out.conditional_state, protocol.DEFAULT_LAYOUT.signal_v)
-    except ZeroDivisionError:
+    size_out = out.size_out
+    if size_out is None:
         raise NumericalFailure("conditional state has no vacuum component")
     size_true = true_input_size(spec, photon_cap=ns.cap)
     size_meas = measure_input_size(spec, ns.gate, photon_cap=ns.cap)

@@ -115,7 +115,11 @@ class FringeScan:
 
 def state_size(state: State, mode: int) -> float:
     """Vacuum-relative odds P(1)/P(0) of the given mode."""
-    dist = fock.occupancy_distribution(state, mode)
+    return _odds(fock.occupancy_distribution(state, mode))
+
+
+def _odds(dist: np.ndarray) -> float:
+    """P(1)/P(0) of a photon-number distribution."""
     p0 = float(dist[0])
     p1 = float(dist[1]) if len(dist) > 1 else 0.0
     if p0 <= 0.0:
@@ -137,15 +141,16 @@ def measure_input_size(
     the true input size scaled by the gate transmission (exactly 1/3 for the
     postselected gate, 1 for the ideal one).  The size does not depend on
     the layout: it changes nothing, and is accepted only because the
-    benchmark's cold-gate workload passes one.
+    benchmark's cold-gate workload passes one.  The odds need no herald
+    normalization, so they are read from the K_HH-weighted signal weights,
+    with no State built for them.
     """
     sig_state, _ = protocol.prepare_signal(signal, photon_cap)
-    _, k_hh, _ = protocol.herald_operators(gate, photon_cap)
-    # meter H in, herald H out
-    cond, _ = protocol.apply_herald(k_hh, sig_state)
-    if cond is None:
-        raise ZeroDivisionError("no transmitted population; cannot size the input")
-    return state_size(cond, DEFAULT_LAYOUT.signal_v)
+    basis, k_hh, _ = protocol.herald_operators(gate, photon_cap)
+    # meter H in, herald H out: the transmitted weights are |K_HH|^2 times
+    # the signal's
+    return _odds(fock.mode_marginal(basis, np.abs(k_hh) ** 2 * sig_state.weights(),
+                                    DEFAULT_LAYOUT.signal_v))
 
 
 def true_input_size(signal: SignalSpec, *,
@@ -241,7 +246,9 @@ def _sweep(
                 measure_input_size(spec, gate, photon_cap=photon_cap)
                 if convention is MeasurementConvention.THROUGH_GATE else input_true)
         input_true, input_measured = sizes[size]
-        output_ideal = state_size(out.conditional_state, DEFAULT_LAYOUT.signal_v)
+        output_ideal = out.size_out
+        if output_ideal is None:
+            raise ZeroDivisionError("conditional state has no vacuum component")
         # the detection chain rails on large heralded sizes: the model curve
         # follows the ideal one for sizes << epsilon and saturates at epsilon,
         # so the apparent gain cannot exceed epsilon over the measured input

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable
 
@@ -100,7 +100,7 @@ class FockBasis:
     def occupations(self) -> tuple[tuple[int, ...], ...]:
         return _basis_table(self.num_modes, self.photon_cap)[0]
 
-    @property
+    @cached_property
     def size(self) -> int:
         return len(self.occupations)
 
@@ -200,8 +200,15 @@ class State:
         return state
 
     def weights(self) -> np.ndarray:
-        """Photon-number weight of each basis state, |psi|^2 + p."""
-        return np.abs(self.amplitudes) ** 2 + self.populations
+        """Photon-number weight of each basis state, |psi|^2 + p: read-only,
+        and computed once per state, as a run, its truncation weight and its
+        input sizes all read the weights of one signal."""
+        weights = self.__dict__.get("_weights")
+        if weights is None:
+            weights = np.abs(self.amplitudes) ** 2 + self.populations
+            weights.flags.writeable = False
+            object.__setattr__(self, "_weights", weights)
+        return weights
 
 
 @dataclass(frozen=True)
@@ -342,8 +349,13 @@ def lift_mode_transform(
 
 def occupancy_distribution(state: State, mode: int) -> np.ndarray:
     """Marginal photon-number distribution of one mode (no renormalizing)."""
-    basis = state.basis
-    return np.bincount(basis.counts(mode), state.weights(),
+    return mode_marginal(state.basis, state.weights(), mode)
+
+
+def mode_marginal(basis: FockBasis, weights: np.ndarray, mode: int) -> np.ndarray:
+    """Photon-number distribution of one mode from a weight per basis state,
+    which need not be a State's."""
+    return np.bincount(basis.counts(mode), weights,
                        minlength=basis.photon_cap + 1)
 
 

@@ -38,26 +38,83 @@ def csv_text(result: SweepResult) -> str:
     return buf.getvalue()
 
 
-def _jsonable(value: object) -> object:
+def _value_text(value: object, level: int) -> str:
+    """JSON text of a row or meta value at the given depth: a float rounded
+    to the 12 significant digits the CSV prints (see _float_text); a complex
+    number as its [real, imag] pair; anything else as json writes it."""
     if isinstance(value, float):
-        if math.isnan(value):
-            return None
-        return float(format_value(value))
+        return _float_text(value)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
+        value = [value.real, value.imag]
+    return _json_block(value, level)
+
+
+_NON_FINITE = {"nan": "null", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    """The text json writes for float(f"{value:.12g}"), with NaN as null.
+
+    json writes a finite float as its repr, the shortest decimal that reads
+    back as it.  For the double nearest a decimal of at most 12 digits that
+    decimal is the repr's: any other of at most 12 digits lies at least
+    1e-13 away, relative, and a normal double's spacing is 2.2e-16.  So
+    the %.12g digits are taken as they are, with ".0" after an integral
+    fixed form, and only the layouts that differ are parsed and written
+    again: exponents 12 to 15, which repr writes in fixed form, and
+    subnormal magnitudes, whose spacing is wider than 12 digits resolve.
+    """
+    text = "%.12g" % value
+    if "e" in text:
+        exponent = int(text[text.index("e") + 1:])
+        if 12 <= exponent < 16 or exponent < -307:
+            return float.__repr__(float(text))
+        return text
+    if "." in text:
+        return text
+    if text[-1].isdigit():
+        return text + ".0"
+    return _NON_FINITE[text]
 
 
 def json_text(result: SweepResult, config: Optional[dict] = None) -> str:
-    doc = {
-        "schema": SCHEMA,
-        "kind": result.kind,
-        "config": config if config is not None else {},
-        "meta": {k: _jsonable(v) for k, v in result.meta.items()},
-        "columns": result.columns,
-        "rows": [[_jsonable(v) for v in row] for row in result.rows],
-    }
-    return _json_block(doc, 0) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n" of the envelope
+    doc = {schema, kind, config, meta, columns, rows}, whose row and meta
+    values are written as _value_text says.
+
+    The six keys are written here in their sorted order, the column block
+    once per column tuple, and the row and meta values one by one; the
+    config and every nested value go through _json_block.  json writes a
+    str with encode_basestring_ascii.
+    """
+    meta = [f"{encode_basestring_ascii(k)}: {_value_text(v, 2)}"
+            for k, v in sorted(result.meta.items())]
+    rows = [_block([_value_text(v, 3) for v in row], "[]", 2)
+            for row in result.rows]
+    return (f'{{\n  "columns": {_columns_block(tuple(result.columns))},'
+            f'\n  "config": {_json_block(config or {}, 1)},'
+            f'\n  "kind": {encode_basestring_ascii(result.kind)},'
+            f'\n  "meta": {_block(meta, "{}", 1)},'
+            f'\n  "rows": {_block(rows, "[]", 1)},'
+            f'\n  "schema": {encode_basestring_ascii(SCHEMA)}\n}}\n')
+
+
+# bounded: a process writes the columns of a few result kinds
+@lru_cache(maxsize=16)
+def _columns_block(columns: tuple) -> str:
+    return _json_block(list(columns), 1)
+
+
+def _block(items: list[str], brackets: str, level: int) -> str:
+    """A container at the given depth from the JSON texts of its items,
+    laid out as indent=2 lays it out."""
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    return (f"{brackets[0]}{pad}{(',' + pad).join(items)}"
+            f"\n{'  ' * level}{brackets[1]}")
 
 
 @lru_cache(maxsize=None)
@@ -83,16 +140,12 @@ def _json_block(obj: object, level: int) -> str:
         return _flat_encoder(level).encode(obj)
     if not obj:
         return brackets
-    if any(isinstance(v, (dict, list, tuple)) for v in items):
-        sep = ",\n" + "  " * (level + 1)
-        if isinstance(obj, dict):
-            body = sep.join(f"{encode_basestring_ascii(k)}: {_json_block(v, level + 1)}"
-                            for k, v in sorted(obj.items()))
-        else:
-            body = sep.join(_json_block(v, level + 1) for v in obj)
-    else:
-        body = _flat_encoder(level).encode(obj)[1:-1]
-    return f"{brackets[0]}\n{'  ' * (level + 1)}{body}\n{'  ' * level}{brackets[1]}"
+    if not any(isinstance(v, (dict, list, tuple)) for v in items):
+        return _block([_flat_encoder(level).encode(obj)[1:-1]], brackets, level)
+    if isinstance(obj, dict):
+        return _block([f"{encode_basestring_ascii(k)}: {_json_block(v, level + 1)}"
+                       for k, v in sorted(obj.items())], brackets, level)
+    return _block([_json_block(v, level + 1) for v in obj], brackets, level)
 
 
 _W, _H = 640, 420

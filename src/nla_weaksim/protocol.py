@@ -15,13 +15,15 @@ DEFAULT_LAYOUT: signal H and V are modes 0 and 1, meter H and V modes 2 and
 layout, and only to name the modes of its conditional state.
 
 Every state is a pure part plus an incoherent diagonal,
-rho = |psi><psi| + diag(p) (fock.State).  Signals are written from per-mode
-photon-number ladders: a coherent product state gathers h[n_H] v[n_V]
-through the basis counts of the two signal modes into psi, and the
-phase-averaged state reads its populations p the same way.  Loss L
-attenuates the amplitude to sqrt(1-L) alpha before the ladder is cut, so
-lossy coherent and phase-averaged signals keep their family; the lossy
-two-level signal keeps its lost weight as a population on the vacuum.
+rho = |psi><psi| + diag(p) (fock.State).  A signal of a SignalSpec is one
+photon-number ladder of signal V written to the n_H = 0 column, which is
+the first cap + 1 basis states: a coherent ladder as psi, Poisson weights as
+p, or the two levels of the two-level signal.  Loss L attenuates the
+amplitude to sqrt(1-L) alpha before the ladder is cut, so lossy coherent
+and phase-averaged signals keep their family; the lossy two-level signal
+keeps its lost weight as a population on the vacuum.  Only the biased
+two-mode input (two_mode_coherent) gathers the products h[n_H] v[n_V] of
+two ladders.
 
 The herald of a gate U keeps one meter photon, in a (a in H, V), and reads
 two diagonals on the signal basis, K_a = <a| U |a> for each signal
@@ -73,6 +75,10 @@ DEFAULT_PHOTON_CAP = 3
 
 # largest Poisson weight a signal may lose beyond the cap
 TRUNCATION_BOUND = 1e-3
+
+# largest Poisson mean of a signal: e^{-700} still has a float's full
+# precision (see _poisson_tail)
+_POISSON_MEAN_LIMIT = 700.0
 
 # herald probabilities below this are treated as an impossible outcome
 ZERO_PROBABILITY = 1e-30
@@ -157,9 +163,18 @@ class AnalyticPrediction:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
+    """One run's result (see run_nla).
+
+    p1_out and size_out read the one signal V marginal of the conditional
+    state: its one-photon probability and its vacuum-relative odds
+    P(1)/P(0), the output size.  size_out is None when the herald vanished
+    or the marginal has no vacuum.
+    """
+
     conditional_state: State | None
     herald_probability: float
-    p1_out: float  # conditional one-photon probability in the signal V mode
+    p1_out: float
+    size_out: float | None
     truncation_weight: float
     amplitude_gain: complex | None = None
 
@@ -183,6 +198,13 @@ def _ladder(
     return terms
 
 
+@lru_cache(maxsize=None)
+def _signal_basis(photon_cap: int) -> FockBasis:
+    """The basis on the fixed signal modes at the cap, built, and checked
+    against the basis limit, once per cap."""
+    return build_basis(2, photon_cap)
+
+
 def _coherent_ladder(alpha: complex, cap: int) -> tuple[np.ndarray, float]:
     """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cap and the Poisson
     weight beyond the cap (see _poisson_tail)."""
@@ -197,12 +219,20 @@ def _coherent_ladder(alpha: complex, cap: int) -> tuple[np.ndarray, float]:
 
 def _poisson_tail(mean: float, cap: int, kind: str) -> float:
     """Poisson weight beyond the cap of a signal of the named kind; a
-    TruncationError if it exceeds TRUNCATION_BOUND.
+    TruncationError if it exceeds TRUNCATION_BOUND, and a ValueError for a
+    mean above _POISSON_MEAN_LIMIT.
 
     One minus the weight up to the cap is exact only to about 1e-16, so
     where that weight is at least a half the tail is summed term by term
-    from cap + 1 until a term no longer changes the sum.
+    from cap + 1 until a term no longer changes the sum.  The terms are a
+    recursion from e^{-mean}, which loses precision above mean 708 and is 0
+    above about 745, where it would read a tail of 1.
     """
+    if mean > _POISSON_MEAN_LIMIT:
+        raise ValueError(
+            f"{kind} mean photon number {mean:.6g} is above the limit "
+            f"{_POISSON_MEAN_LIMIT:g}, where e^-mean nears underflow"
+        )
     term = math.exp(-mean)
     head = term
     for n in range(1, cap + 1):
@@ -258,7 +288,7 @@ def two_mode_coherent(
     """
     h, tail_h = _coherent_ladder(alpha_h, photon_cap)
     v, tail_v = _coherent_ladder(alpha_v, photon_cap)
-    basis = build_basis(2, photon_cap)
+    basis = _signal_basis(photon_cap)
     pairs = _pair_products(h, v)
     amps = np.array(pairs)[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)]
     dropped = 0.0
@@ -271,18 +301,17 @@ def two_mode_coherent(
 
 def phase_averaged_state(alpha: complex, photon_cap: int) -> tuple[State, float]:
     """Diagonal mixture with the Poissonian weights e^{-|a|^2} |a|^{2n} / n!
-    as its populations, and no pure part.
+    as its populations on signal V (the n_H = 0 column), and no pure part.
 
     Equal to averaging |a e^{i theta}> projectors over theta; the weight
     beyond the cap is returned as the truncation tail (see _poisson_tail).
     """
-    basis = build_basis(2, photon_cap)
+    basis = _signal_basis(photon_cap)
     mean = abs(alpha) ** 2
     tail = _poisson_tail(mean, photon_cap, "phase-averaged")
-    weights = _poisson_weights(mean, photon_cap)
-    pops = np.where(basis.counts(_SIGNAL_H) == 0,
-                    weights[basis.counts(_SIGNAL_V)], 0.0)
-    return State(basis, np.zeros(basis.size), pops), tail
+    pops = np.zeros(basis.size)
+    pops[:photon_cap + 1] = _poisson_weights(mean, photon_cap)
+    return State(basis, np.zeros(basis.size, dtype=complex), pops), tail
 
 
 def ppbs_cz_circuit() -> list[ModeTransform]:
@@ -337,20 +366,22 @@ def prepare_signal(spec: SignalSpec, photon_cap: int) -> tuple[State, float]:
 def _prepare_signal(
     spec: SignalSpec, alpha_type: type, photon_cap: int
 ) -> tuple[State, float]:
-    if spec.kind == "coherent":
-        return two_mode_coherent(0.0, spec.alpha_at_gate, photon_cap)
     if spec.kind == "phase_averaged":
         return phase_averaged_state(spec.alpha_at_gate, photon_cap)
+    # (n_H, n_V) = (0, n) is basis state n for n <= cap
+    basis = _signal_basis(photon_cap)
+    psi = np.zeros(basis.size, dtype=complex)
+    if spec.kind == "coherent":
+        psi[:photon_cap + 1], tail = _coherent_ladder(spec.alpha_at_gate,
+                                                      photon_cap)
+        return State(basis, psi), tail
     # N(|0> + alpha_at_gate |1>), and the weight L |N alpha|^2 that loss
     # takes from |1> on the vacuum
-    basis = build_basis(2, photon_cap)
-    vac, one = (basis.index_of((0, n)) for n in (0, 1))
     pref = math.exp(-abs(spec.alpha) ** 2 / 2.0)
-    psi = np.zeros(basis.size, dtype=complex)
-    psi[vac] = pref
-    psi[one] = pref * spec.alpha_at_gate
+    psi[0] = pref
+    psi[1] = pref * spec.alpha_at_gate
     pops = np.zeros(basis.size)
-    pops[vac] = spec.loss * abs(pref * spec.alpha) ** 2
+    pops[0] = spec.loss * abs(pref * spec.alpha) ** 2
     return State(basis, psi, pops), 0.0
 
 
@@ -386,7 +417,7 @@ def herald_operators(
     # the joint basis guards the cap for both gates, though only the
     # postselected one is lifted on it
     joint = build_basis(4, photon_cap)
-    signal = build_basis(2, photon_cap)
+    signal = _signal_basis(photon_cap)
     inside = ~signal.at_cap()
     if gate == "ideal":
         flip = np.where(signal.counts(_SIGNAL_V) == 1, -1.0, 1.0)
@@ -464,14 +495,17 @@ def run_nla(
     Applies M(phi) = (K_HH - e^{i phi} K_VV)/2 of the gate's meter
     diagonals to the signal's pure part and populations (see apply_herald).
     A prebuilt signal state must live on the two fixed signal modes at the
-    cap.  Returns the conditional signal state, the herald probability, the
-    conditional one-photon probability of the signal V mode and the
-    truncation weight: the prepared tail beyond the cap plus the signal
-    weight at the cap, which has no room for the meter photon, and for a
-    pure conditional state (no populations) of a spec the amplitude gain
-    c1 / (c0 alpha_at_gate).  The run is the same on every layout: the layout
-    only names the modes of the conditional state, whose basis then covers
-    the layout's two signal modes (see _signal_order).
+    cap.  Returns the conditional signal state and the herald probability;
+    from the conditional state's one signal V marginal, its one-photon
+    probability p1_out and its vacuum-relative odds P(1)/P(0), size_out
+    (None without vacuum); the truncation weight: the prepared tail beyond
+    the cap plus the signal weight at the cap, which has no room for the
+    meter photon; and for a pure conditional state (no populations) of a
+    spec the amplitude gain c1 / (c0 alpha_at_gate).  For a spec the
+    truncation weight faces TRUNCATION_BOUND: a TruncationError if it
+    exceeds it.  The run is the same on every layout: the layout only names
+    the modes of the conditional state, whose basis then covers the
+    layout's two signal modes (see _signal_order).
     """
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
     basis, k_hh, k_vv = herald_operators(gate, photon_cap)
@@ -481,31 +515,36 @@ def run_nla(
                 f"signal basis {signal.basis} is not the signal modes at cap "
                 f"{photon_cap}"
             )
-        sig_state: State = signal
-        tail = 0.0
-        spec = None
+        sig_state, tail, spec = signal, 0.0, None
     else:
         spec = signal
         sig_state, tail = prepare_signal(spec, photon_cap)
+    truncation = tail + _weight_at_cap(sig_state)
+    if spec is not None and truncation > TRUNCATION_BOUND:
+        raise fock.TruncationError(
+            f"{spec.kind.replace('_', '-')} weight {truncation:.3e} beyond "
+            f"and at cap {photon_cap} exceeds bound {TRUNCATION_BOUND:.3e}"
+        )
     # meter (|H> + i e^{i phi} |V>)/sqrt(2) in, herald (|H> - i|V>)/sqrt(2)
     heralded = (k_hh - cmath.exp(1.0j * phi) * k_vv) / 2.0
-    truncation = tail + _weight_at_cap(sig_state)
     cond, prob = apply_herald(heralded, sig_state)
     if cond is None:
-        return ProtocolOutcome(None, prob, 0.0, truncation)
-    p1 = fock.occupancy_probability(cond, _SIGNAL_V, 1)
+        return ProtocolOutcome(None, prob, 0.0, None, truncation)
+    dist = fock.occupancy_distribution(cond, _SIGNAL_V)
+    p0, p1 = float(dist[0]), float(dist[1])
     amp_gain = None
     alpha = spec.alpha_at_gate if spec is not None else 0
-    if alpha != 0 and not cond.populations.any():
-        c0 = cond.amplitudes[basis.index_of((0, 0))]
-        c1 = cond.amplitudes[basis.index_of((0, 1))]
+    if alpha != 0 and not np.count_nonzero(cond.populations):
+        # (0, 0) and (0, 1) open the basis
+        c0, c1 = cond.amplitudes[:2]
         if abs(c0) > 0:
             amp_gain = complex(c1 / (c0 * alpha))
     if layout != DEFAULT_LAYOUT:
         named, order = _signal_order(layout.signal, photon_cap)
         cond = State._derived(named, cond.amplitudes[order],
                               cond.populations[order])
-    return ProtocolOutcome(cond, prob, p1, truncation, amp_gain)
+    return ProtocolOutcome(cond, prob, p1, p1 / p0 if p0 > 0.0 else None,
+                           truncation, amp_gain)
 
 
 def analytic(

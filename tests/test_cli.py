@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import shlex
@@ -10,7 +11,7 @@ import warnings
 import pytest
 from test_readme import _readme_commands
 
-from nla_weaksim import cli, protocol
+from nla_weaksim import cli, fock, protocol
 from nla_weaksim.cli import ConfigError, main, parse_grid
 
 
@@ -85,7 +86,7 @@ def test_protocol_json_output(tmp_path, capsys):
 def test_protocol_tail_is_taken_after_loss(capsys):
     # the ladder is cut at the attenuated mean, so an input whose own tail
     # is too heavy for the cap runs once loss has thinned it
-    args = ["protocol", "--gain", "3", "--alpha2", "5", "--cap", "4"]
+    args = ["protocol", "--gain", "3", "--alpha2", "5", "--cap", "5"]
     assert main(args + ["--loss", "0.9"]) == 0
     doc = json.loads(capsys.readouterr().out)
     row = dict(zip(doc["columns"], doc["rows"][0]))
@@ -106,6 +107,29 @@ def test_protocol_at_cap_seven(capsys):
     assert row["herald_closed_form"] == pytest.approx(want.p_success, rel=1e-9)
     assert row["herald_probability"] == pytest.approx(want.p_success, rel=1e-5)
     assert row["gain_measured"] == pytest.approx(3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("signal", ["coherent", "phase-averaged", "qubit"])
+def test_protocol_reads_one_marginal_per_state(signal, monkeypatch, capsys):
+    # at most one marginal per distinct state: the run reads the
+    # conditional state's once, for p1_out and size_out, and the true input
+    # size the signal's; the through-gate size reads K_HH-weighted signal
+    # weights, which are no state
+    read = []
+    marginal = fock.occupancy_distribution
+
+    def counted(state, mode):
+        read.append(state)
+        return marginal(state, mode)
+
+    monkeypatch.setattr(fock, "occupancy_distribution", counted)
+    assert main(["protocol", "--gain", "3", "--alpha2", "1e-3", "--loss",
+                 "0.2", "--signal", signal]) == 0
+    assert len(read) == len({id(state) for state in read}) <= 3
+    doc = json.loads(capsys.readouterr().out)
+    row = dict(zip(doc["columns"], doc["rows"][0]))
+    assert row["size_in_measured"] == pytest.approx(row["size_in_true"] / 3,
+                                                    rel=1e-12)
 
 
 def test_protocol_rejects_phi_and_gain(capsys):
@@ -426,6 +450,26 @@ def test_parse_route_matches_the_full_tree(args, tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    ["protocol", "--gain", "3", "--alpha2", "0.5", "--cap", "4"],
+    ["protocol", "--gain", "3", "--alpha2", "2", "--cap", "8"],
+], ids=["alpha2-0.5-cap-4", "alpha2-2-cap-8"])
+def test_weight_at_the_cap_faces_the_bound(args, capsys):
+    # the Poisson tails beyond these caps are within the bound, but the
+    # reported truncation weight adds the weight at the cap: 1.75e-3 and
+    # 1.10e-3, above 1e-3
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coherent weight 1.")
+    assert f"beyond and at cap {args[-1]} exceeds bound 1.000e-03" in captured.err
+    assert captured.err.endswith("; raise --cap\n")
+    next_cap = [*args[:-1], str(int(args[-1]) + 1), "--format", "csv"]
+    assert main(next_cap) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(row[-1]) <= protocol.TRUNCATION_BOUND
+
+
+@pytest.mark.parametrize("args", [
     ["protocol", "--gain", "3", "--alpha2", "5", "--cap", "4"],
     ["visibility", "--alpha", "3", "--cap", "4"],
     # the phase-averaged Poisson ladder faces the coherent one's bound
@@ -509,7 +553,7 @@ def test_vacuum_input_exits_two(args, capsys):
 ], ids=["gain-sweep", "gain-vs-phi"])
 def test_vanished_herald_exits_numerical_with_shots(args, monkeypatch):
     def vanished(*_args, **_kwargs):
-        return protocol.ProtocolOutcome(None, 0.0, 0.0, 0.0)
+        return protocol.ProtocolOutcome(None, 0.0, 0.0, None, 0.0)
 
     monkeypatch.setattr(protocol, "run_nla", vanished)
     assert main(args) == 3
@@ -517,10 +561,12 @@ def test_vanished_herald_exits_numerical_with_shots(args, monkeypatch):
 
 
 def test_protocol_without_output_vacuum_exits_numerical(monkeypatch, capsys):
-    def no_vacuum(*_args, **_kwargs):
-        raise ZeroDivisionError("mode has no vacuum component; odds undefined")
+    run_nla = protocol.run_nla
 
-    monkeypatch.setattr(cli, "state_size", no_vacuum)
+    def no_vacuum(*args, **kwargs):
+        return dataclasses.replace(run_nla(*args, **kwargs), size_out=None)
+
+    monkeypatch.setattr(protocol, "run_nla", no_vacuum)
     assert main(["protocol", "--gain", "3", "--alpha2", "1e-4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

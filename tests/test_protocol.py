@@ -252,9 +252,18 @@ def test_diagonal_input_matches_weighted_reference():
                 for n in range(long + 1)]
         for loss in (0.0, 0.4):
             weights = oracles.loss_via_ancilla(pops, loss, long)[:cap + 1]
+            spec = SignalSpec("phase_averaged", alpha, loss=loss)
+            signal = spec
+            want_weight = (weights[cap]
+                           + oracles.poisson_tail((1.0 - loss) * alpha**2, cap))
+            if want_weight > protocol.TRUNCATION_BOUND:
+                # both cap-2 inputs leave too much weight at the cap for a
+                # spec run; their prepared state, with no tail, heralds
+                with pytest.raises(TruncationError, match="at cap 2"):
+                    run_nla(spec, MeterSetting(phi), photon_cap=cap)
+                signal, want_weight = prepare_signal(spec, cap)[0], weights[cap]
             for gate in ("ppbs", "ideal"):
-                out = run_nla(SignalSpec("phase_averaged", alpha, loss=loss),
-                              MeterSetting(phi), gate, photon_cap=cap)
+                out = run_nla(signal, MeterSetting(phi), gate, photon_cap=cap)
                 basis = out.conditional_state.basis
                 want = np.zeros((basis.size, basis.size), dtype=complex)
                 prob = 0.0
@@ -270,11 +279,8 @@ def test_diagonal_input_matches_weighted_reference():
                 got = (oracles.dense(out.conditional_state)
                        * out.herald_probability)
                 assert np.max(np.abs(got - want)) < 1e-12
-                assert out.truncation_weight == pytest.approx(
-                    weights[cap]
-                    + oracles.poisson_tail((1.0 - loss) * alpha**2, cap),
-                    rel=1e-9,
-                )
+                assert out.truncation_weight == pytest.approx(want_weight,
+                                                              rel=1e-9)
 
 
 @pytest.mark.parametrize("cap", [2, 4, 8])
@@ -320,10 +326,17 @@ def test_conditional_state_is_the_dense_herald(kind, loss, cap):
                                rng.uniform(-math.pi, math.pi))
             spec = SignalSpec(kind, alpha, loss=loss)
             m = (k_hh - cmath.exp(1.0j * phi) * k_vv) / 2.0
-            rho = oracles.dense(prepare_signal(spec, cap)[0])
-            rho = m[:, None] * rho * m.conj()[None, :]
+            state, tail = prepare_signal(spec, cap)
+            rho = m[:, None] * oracles.dense(state) * m.conj()[None, :]
             prob = np.trace(rho).real
-            out = run_nla(spec, phi, gate, photon_cap=cap)
+            signal = spec
+            if tail + protocol._weight_at_cap(state) > protocol.TRUNCATION_BOUND:
+                # some cap-2 draws leave too much weight at the cap for a
+                # spec run; their prepared state heralds all the same
+                with pytest.raises(TruncationError, match="at cap 2"):
+                    run_nla(spec, phi, gate, photon_cap=cap)
+                signal = state
+            out = run_nla(signal, phi, gate, photon_cap=cap)
             assert out.herald_probability == pytest.approx(prob, rel=1e-13)
             cond = out.conditional_state
             assert np.max(np.abs(oracles.dense(cond) - rho / prob)) < 1e-14
@@ -360,6 +373,27 @@ def test_prepared_signal_is_shared_and_bounded():
         prepare_signal(SignalSpec("phase_averaged", 0.01 * (i + 1)), 3)
     info = protocol._prepare_signal.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("cap", [2, 3, 4, 8])
+def test_coherent_signal_is_the_product_with_an_empty_h_mode(cap, monkeypatch):
+    # the prepared signal writes one V ladder to the n_H = 0 column; the
+    # gathered product with a vacuum H ladder is the second route to it
+    monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
+    rng = np.random.default_rng(200 + cap)
+    alphas = [0.0, 0.015, 0.3, 1.2]
+    alphas += [complex(*z) for z in 0.4 * rng.normal(size=(4, 2))]
+    for alpha in alphas:
+        for loss in (0.0, 0.3):
+            spec = SignalSpec("coherent", alpha, loss=loss)
+            state, tail = prepare_signal(spec, cap)
+            want, weight = two_mode_coherent(0.0, spec.alpha_at_gate, cap)
+            assert state.basis == want.basis
+            assert np.array_equal(state.amplitudes, want.amplitudes)
+            if isinstance(alpha, float):
+                assert state.amplitudes.tobytes() == want.amplitudes.tobytes()
+            assert not state.populations.any()
+            assert tail == weight
 
 
 def test_prepared_signal_does_not_mix_float_and_complex_amplitudes():
@@ -871,12 +905,35 @@ def test_ladders_continue_where_the_closed_form_power_overflows(monkeypatch):
     ]
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
     # at |alpha| = 70 the power overflows too, but exp(-|alpha|^2 / 2)
-    # already underflows to 0: the amplitudes are 0 and the tail is all of
-    # the weight, so only a bound of 1 admits them
+    # already underflows to 0, and so would the tail's start exp(-4900):
+    # the mean is refused, whatever the bound
     with monkeypatch.context() as patch:
         patch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
-        amps, tail = protocol._coherent_ladder(70 + 0j, 6000)
-    assert amps.shape == (6001,) and not np.any(amps) and tail == 1.0
-    for alpha in (70 + 0j, 70):
-        with pytest.raises(TruncationError, match="beyond cap 6000"):
-            protocol._coherent_ladder(alpha, 6000)
+        for alpha in (70 + 0j, 70):
+            with pytest.raises(ValueError, match="4900 is above the limit 700"):
+                protocol._coherent_ladder(alpha, 6000)
+
+
+def _lgamma_tail(mean, cap):
+    # the Poisson terms from cap + 1, each from its own logarithm, summed
+    # until they no longer count
+    terms = [math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+             for n in range(cap + 1, cap + 2000)]
+    assert terms[-1] < 1e-30 * terms[0]
+    return math.fsum(terms)
+
+
+def test_poisson_tail_at_large_means():
+    # up to mean 700 the recursion from e^{-mean} is exact to rounding;
+    # above it e^{-mean} nears underflow (at 900 it read a tail of 1), so
+    # the mean is refused with an error that names the limit
+    tail = protocol._poisson_tail(700.0, 1200, "coherent")
+    assert tail == pytest.approx(_lgamma_tail(700.0, 1200), rel=1e-9)
+    assert 1e-70 < tail < 1e-60
+    assert _lgamma_tail(900.0, 1500) == pytest.approx(9.8e-75, rel=1e-2)
+    for kind in ("coherent", "phase-averaged"):
+        with pytest.raises(ValueError, match=f"{kind} mean photon number "
+                                             "900 is above the limit 700"):
+            protocol._poisson_tail(900.0, 1500, kind)
+    with pytest.raises(ValueError, match="above the limit 700"):
+        phase_averaged_state(30.0, 600)
