@@ -12,6 +12,11 @@ with too few counts to fit).
 
 Environment: NLA_WEAKSIM_OUTDIR prefixes relative --output paths;
 NLA_WEAKSIM_MAX_BASIS caps the truncated basis size.
+
+build_parser declares the one argparse tree.  A subcommand's options are
+read in one walk over its parser's action table (exact option strings,
+`--opt value` or `--opt=value`); any other argv, and help, goes to the
+tree's parse_args, which parses it or writes argparse's usage and errors.
 """
 
 from __future__ import annotations
@@ -138,6 +143,8 @@ def _counting(ns: argparse.Namespace) -> Optional[CountingModel]:
         return None
     if ns.seed is None:
         raise ConfigError("--seed is required when --shots > 0")
+    if ns.seed < 0:
+        raise ConfigError(f"--seed {ns.seed} is negative; seeds start at 0")
     return CountingModel(shots=ns.shots, seed=ns.seed, rate_scale=ns.rate_scale)
 
 
@@ -480,23 +487,85 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
 _shared_parser = lru_cache(maxsize=1)(build_parser)
 
 
+def _walk(sp: argparse.ArgumentParser, command: str,
+          args: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace the full tree gives [command, *args], read in one walk
+    over the subcommand parser's action table; None where argparse might
+    read args otherwise.
+
+    It reads exact option strings of store actions, as `--opt value` or
+    `--opt=value`, and of store_true actions.  A separate value may start
+    with '-' only as a negative number.  Each value goes through the
+    action's type and choices, and the last of a repeated option wins.  At
+    most one action of each mutually exclusive group may be given, and no
+    required action left out.  Defaults go in argparse's order: the
+    actions', then the parser's set_defaults.
+    """
+    table = sp._option_string_actions
+    seen = {}
+    tokens = iter(args)
+    for token in tokens:
+        act, value = table.get(token), None
+        if act is None:
+            opt, eq, value = token.partition("=")
+            act = table.get(opt) if eq else None
+            # before 3.13 argparse reads a '--' value as an empty list
+            if act is None or value == "--":
+                return None
+        if type(act) is argparse._StoreTrueAction and value is None:
+            seen[act] = act.const
+            continue
+        if type(act) is not argparse._StoreAction or act.nargs is not None:
+            return None
+        if value is None:
+            value = next(tokens, None)
+            if value is None or value[:1] == "-" and not (
+                    sp._negative_number_matcher.match(value)
+                    and not sp._has_negative_number_optionals):
+                return None
+        if act.type is not None:
+            try:
+                value = act.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if act.choices is not None and value not in act.choices:
+            return None
+        seen[act] = value
+    for grp in sp._mutually_exclusive_groups:
+        given = sum(a in seen for a in grp._group_actions)
+        if given > 1 or grp.required and not given:
+            return None
+    values = {}
+    for act in sp._actions:
+        # argparse converts a string default of a typed action left out
+        if act not in seen and (act.required or act.type is not None
+                                and isinstance(act.default, str)):
+            return None
+        if act.dest is not argparse.SUPPRESS and act.default is not argparse.SUPPRESS:
+            values.setdefault(act.dest, act.default)
+    for dest, value in sp._defaults.items():
+        values.setdefault(dest, value)
+    for act, value in seen.items():
+        values[act.dest] = value
+    ns = argparse.Namespace(command=command)
+    vars(ns).update(values)
+    return ns
+
+
 def _parse_tree(parser: argparse.ArgumentParser,
                 sub: argparse._SubParsersAction,
                 args: list[str]) -> argparse.Namespace:
-    """parser.parse_args(args), through the subcommand's own parser when
-    args[0] names one.
+    """parser.parse_args(args), in one walk over the subcommand parser's
+    action table (see _walk) when args[0] names a subcommand.
 
-    The full tree hands the same args[1:] to that parser; its own pass only
-    classifies the strings.  No args, help, an unknown command or leftover
-    strings go through the full tree, so argparse writes its own usage and
-    error text.
+    Everything the walk declines goes through the full tree: no args, an
+    unknown command, help, an abbreviated option, '--', a stray string, a
+    value that fails its type or choices, a missing value, a conflict.
+    There argparse either parses it or writes its own usage and error text.
     """
     sp = sub.choices.get(args[0]) if args else None
-    if sp is not None:
-        ns, extra = sp.parse_known_args(args[1:], argparse.Namespace(command=args[0]))
-        if not extra:
-            return ns
-    return parser.parse_args(args)
+    ns = _walk(sp, args[0], args[1:]) if sp is not None else None
+    return parser.parse_args(args) if ns is None else ns
 
 
 def _parse(args: list[str]) -> argparse.Namespace:

@@ -208,13 +208,18 @@ def _signal_basis(photon_cap: int) -> FockBasis:
 def _coherent_ladder(alpha: complex, cap: int) -> tuple[np.ndarray, float]:
     """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cap and the Poisson
     weight beyond the cap (see _poisson_tail)."""
-    pref = math.exp(-abs(alpha) ** 2 / 2.0)
+    try:
+        mean = abs(alpha) ** 2
+    except OverflowError:
+        mean = math.inf  # far above the mean limit, which _poisson_tail names
+    tail = _poisson_tail(mean, cap, "coherent")
+    pref = math.exp(-mean / 2.0)
     amps = np.array(_ladder(
         cap,
         lambda n: pref * alpha**n / math.sqrt(math.factorial(n)),
         lambda prev, n: prev * alpha / math.sqrt(n),
     ), dtype=complex)
-    return amps, _poisson_tail(abs(alpha) ** 2, cap, "coherent")
+    return amps, tail
 
 
 def _poisson_tail(mean: float, cap: int, kind: str) -> float:
@@ -284,7 +289,9 @@ def two_mode_coherent(
 
     Each amplitude is h[n_H] v[n_V], gathered from the two ladders by the
     basis counts.  The returned weight is the two ladder tails plus the
-    product weight of the pairs (n_H, n_V) over the cap, added n_H-major.
+    product weight of the pairs (n_H, n_V) over the cap, added n_H-major;
+    with the state's weight at the cap it faces TRUNCATION_BOUND, as a
+    spec's does in run_nla.
     """
     h, tail_h = _coherent_ladder(alpha_h, photon_cap)
     v, tail_v = _coherent_ladder(alpha_v, photon_cap)
@@ -296,7 +303,9 @@ def two_mode_coherent(
     for n_h, row in enumerate(pairs):
         for p in row[photon_cap + 1 - n_h:]:
             dropped += abs(p) ** 2
-    return State(basis, amps), tail_h + tail_v + dropped
+    state, weight = State(basis, amps), tail_h + tail_v + dropped
+    _face_bound("coherent", weight + _weight_at_cap(state), photon_cap)
+    return state, weight
 
 
 def phase_averaged_state(alpha: complex, photon_cap: int) -> tuple[State, float]:
@@ -469,6 +478,16 @@ def _weight_at_cap(state: State) -> float:
     return float(state.weights()[state.basis.at_cap()].sum())
 
 
+def _face_bound(kind: str, weight: float, photon_cap: int) -> None:
+    """A TruncationError when the weight of a signal of the named kind
+    beyond and at the cap exceeds TRUNCATION_BOUND."""
+    if weight > TRUNCATION_BOUND:
+        raise fock.TruncationError(
+            f"{kind} weight {weight:.3e} beyond and at cap {photon_cap} "
+            f"exceeds bound {TRUNCATION_BOUND:.3e}"
+        )
+
+
 def _signal_order(
     signal: tuple[int, int], photon_cap: int
 ) -> tuple[FockBasis, list[int]]:
@@ -520,11 +539,8 @@ def run_nla(
         spec = signal
         sig_state, tail = prepare_signal(spec, photon_cap)
     truncation = tail + _weight_at_cap(sig_state)
-    if spec is not None and truncation > TRUNCATION_BOUND:
-        raise fock.TruncationError(
-            f"{spec.kind.replace('_', '-')} weight {truncation:.3e} beyond "
-            f"and at cap {photon_cap} exceeds bound {TRUNCATION_BOUND:.3e}"
-        )
+    if spec is not None:
+        _face_bound(spec.kind.replace("_", "-"), truncation, photon_cap)
     # meter (|H> + i e^{i phi} |V>)/sqrt(2) in, herald (|H> - i|V>)/sqrt(2)
     heralded = (k_hh - cmath.exp(1.0j * phi) * k_vv) / 2.0
     cond, prob = apply_herald(heralded, sig_state)

@@ -1,14 +1,19 @@
 """Command line interface: grids, formats, exit codes, reproducibility."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import io
+import itertools
 import json
 import math
 import shlex
 import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_readme import _readme_commands
 
 from nla_weaksim import cli, fock, protocol
@@ -429,6 +434,12 @@ def _full_tree(parser, sub, args):
     ["protocol", "--gain", "3", "--bogus", "1"],
     ["protocol", "--gain", "3", "stray"],
     ["protocol", "--", "--gain", "3"],
+    ["protocol", "--gain", "3", "--cap=4"],
+    ["protocol", "--gain", "3", "--degrees=1"],
+    ["protocol", "--gain", "3", "--cap", "3", "--cap", "4"],
+    ["protocol", "--gai", "3"],
+    ["protocol", "--phi=1", "--gain=3"],
+    ["protocol", "--phi", "-1", "--alpha2", "-.5"],
     [], ["-h"], ["protocol", "-h"], ["frobnicate"],
 ], ids=lambda args: " ".join(args) or "no-args")
 def test_parse_route_matches_the_full_tree(args, tmp_path, monkeypatch, capsys):
@@ -447,6 +458,71 @@ def test_parse_route_matches_the_full_tree(args, tmp_path, monkeypatch, capsys):
     routed = outcome()
     monkeypatch.setattr(cli, "_parse_tree", _full_tree)
     assert outcome() == routed
+
+
+def test_a_readme_protocol_line_parses_without_argparse(monkeypatch, capsys):
+    line = next(line for line in _readme_commands() if " protocol " in line)
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("argparse parsed the command line")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert main(shlex.split(line)[1:]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "protocol"
+
+
+_PARSER, _SUB = cli.build_parser()
+_CHOICES = sorted({str(c) for sp in _SUB.choices.values() for a in sp._actions
+                   for c in a.choices or ()})
+_VALUES = st.one_of(
+    st.sampled_from(["", "-", "--", "-h", "--help", "stray", "x y", "-x",
+                     "nan", "-nan", "inf", "-inf", "-.5", "1_0", "4.5", "=",
+                     "a=b", "1e-5:1e-3:log3", "2,3"]),
+    st.sampled_from(_CHOICES),
+    st.integers(-20, 20).map(str),
+    st.floats().map(repr),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUB.choices)))
+    option = st.sampled_from(sorted(_SUB.choices[command]._option_string_actions))
+    token = st.one_of(
+        st.tuples(option),
+        st.tuples(option, _VALUES),
+        st.builds(lambda opt, value: (f"{opt}={value}",), option, _VALUES),
+        st.builds(lambda opt, n, value: (opt[:n], value),
+                  option, st.integers(2, 10), _VALUES),
+        st.tuples(_VALUES),
+    )
+    return [command, *itertools.chain.from_iterable(draw(st.lists(token, max_size=8)))]
+
+
+def _entries(ns):
+    # NaN counts equal to NaN; 4 and 4.0 do not count equal
+    return [(k, type(v), "nan" if v != v else v) for k, v in vars(ns).items()]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_argv())
+# argparse strips a '--' value, to an empty list after '='
+@example(["protocol", "--output=--"])
+@example(["protocol", "--cap", "--", "4"])
+@example(["protocol", "--phi", "1", "--gain=3"])
+def test_the_walk_reads_argv_as_argparse_does(argv):
+    # argparse is the oracle: the walk accepts nothing it rejects, and its
+    # namespace holds argparse's entries, in argparse's order
+    ns = cli._walk(_SUB.choices[argv[0]], argv[0], argv[1:])
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            want = _PARSER.parse_args(argv)
+        except SystemExit:
+            want = None
+    if ns is not None:
+        assert want is not None
+        assert _entries(ns) == _entries(want)
 
 
 @pytest.mark.parametrize("args", [
@@ -485,6 +561,29 @@ def test_truncation_names_the_cap_option(args, capsys):
     assert captured.err.endswith("; raise --cap\n")
 
 
+def test_visibility_input_faces_the_bound(capsys):
+    # the biased two-mode input leaves 1.8e-4 beyond cap 3, within the
+    # bound, and 2.5e-3 more at the cap
+    args = ["visibility", "--gains", "2", "--alpha", "0.3", "--cap", "3"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coherent weight 2.")
+    assert captured.err.endswith(
+        "beyond and at cap 3 exceeds bound 1.000e-03; raise --cap\n")
+    assert main([*args[:-1], "4"]) == 0
+
+
+@pytest.mark.parametrize("alpha", ["40", "1e200"])
+def test_visibility_mean_limit_precedes_squaring(alpha, capsys):
+    # 1e200 squared overflows a float; the limit is named all the same
+    assert main(["visibility", "--gains", "2", "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coherent mean photon number ")
+    assert "is above the limit 700" in captured.err
+
+
 def test_cap_validation():
     assert main(["gain-sweep", "--inputs", "1e-5", "--cap", "0"]) == 2
     # cap 1 leaves the two-photon gate no support
@@ -518,15 +617,18 @@ def test_non_finite_values_exit_two(args, capsys):
         ["gain-vs-phi", "--inputs", "1e-5", "--phis", "1.0", "--shots", "-1",
          "--seed", "1"],
         ["visibility", "--gains", "2", "--shots", "-1", "--seed", "1"],
+        ["gain-sweep", "--gains", "3", "--inputs", "1e-4", "--shots", "10",
+         "--seed", "-1"],
     ],
     ids=lambda args: " ".join(args),
 )
 def test_negative_counts_exit_two(args, capsys):
-    # only 0 switches counting or the herald model off
+    # only 0 switches counting or the herald model off, and seeds start at 0
     assert main(args) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    opt = next(a for a in args if a in ("--shots", "--epsilon"))
+    opt = next(a for a, v in zip(args, args[1:]) if v.startswith("-") and
+               v[1:2].isdigit())
     assert captured.err.startswith(f"error: {opt} -")
 
 
