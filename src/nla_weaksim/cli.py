@@ -39,8 +39,6 @@ from .experiment import (
     SweepResult,
     gain_sweep,
     gain_vs_phi,
-    measure_input_size,
-    true_input_size,
     visibility_experiment,
 )
 from .fock import BasisSizeError, TruncationError
@@ -225,8 +223,9 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
     size_out = out.size_out
     if size_out is None:
         raise NumericalFailure("conditional state has no vacuum component")
-    size_true = true_input_size(spec, photon_cap=ns.cap)
-    size_meas = measure_input_size(spec, ns.gate, photon_cap=ns.cap)
+    size_true, size_meas = out.size_in_true, out.size_in_measured
+    if size_true is None or size_meas is None:
+        raise NumericalFailure("input signal has no vacuum component")
     if not size_meas > 0:
         raise ConfigError(
             f"no input photon reaches the gate (--alpha2 {ns.alpha2:g}, "
@@ -565,7 +564,12 @@ def _parse_tree(parser: argparse.ArgumentParser,
     """
     sp = sub.choices.get(args[0]) if args else None
     ns = _walk(sp, args[0], args[1:]) if sp is not None else None
-    return parser.parse_args(args) if ns is None else ns
+    if ns is None:
+        ns = parser.parse_args(args)
+        # before 3.13 argparse reads `--opt=--` as an empty list, unchecked
+        if empty := [k for k, v in vars(ns).items() if isinstance(v, list)]:
+            raise ConfigError(f"--{empty[0].replace('_', '-')} has no value")
+    return ns
 
 
 def _parse(args: list[str]) -> argparse.Namespace:

@@ -115,16 +115,14 @@ class FringeScan:
 
 def state_size(state: State, mode: int) -> float:
     """Vacuum-relative odds P(1)/P(0) of the given mode."""
-    return _odds(fock.occupancy_distribution(state, mode))
+    return _defined(protocol._odds(fock.occupancy_distribution(state, mode)))
 
 
-def _odds(dist: np.ndarray) -> float:
-    """P(1)/P(0) of a photon-number distribution."""
-    p0 = float(dist[0])
-    p1 = float(dist[1]) if len(dist) > 1 else 0.0
-    if p0 <= 0.0:
+def _defined(size: Optional[float]) -> float:
+    """The size, or a ZeroDivisionError where its marginal had no vacuum."""
+    if size is None:
         raise ZeroDivisionError("mode has no vacuum component; odds undefined")
-    return p1 / p0
+    return size
 
 
 def measure_input_size(
@@ -136,21 +134,15 @@ def measure_input_size(
 ) -> float:
     """Input size as the bench sees it: through the gate, meter |H>.
 
-    The signal crosses the gate with the meter photon prepared |H>; a herald
-    on one H meter photon postselects the transmitted signal, whose size is
-    the true input size scaled by the gate transmission (exactly 1/3 for the
-    postselected gate, 1 for the ideal one).  The size does not depend on
-    the layout: it changes nothing, and is accepted only because the
-    benchmark's cold-gate workload passes one.  The odds need no herald
-    normalization, so they are read from the K_HH-weighted signal weights,
-    with no State built for them.
+    The transmitted signal's size is the true input size scaled by the gate
+    transmission (exactly 1/3 for the postselected gate, 1 for the ideal
+    one).  A run reports the same size (ProtocolOutcome.size_in_measured).
+    The size does not depend on the layout: it changes nothing, and is
+    accepted only because the benchmark's cold-gate workload passes one.
     """
     sig_state, _ = protocol.prepare_signal(signal, photon_cap)
     basis, k_hh, _ = protocol.herald_operators(gate, photon_cap)
-    # meter H in, herald H out: the transmitted weights are |K_HH|^2 times
-    # the signal's
-    return _odds(fock.mode_marginal(basis, np.abs(k_hh) ** 2 * sig_state.weights(),
-                                    DEFAULT_LAYOUT.signal_v))
+    return _defined(protocol._through_gate(basis, k_hh, sig_state.weights()))
 
 
 def true_input_size(signal: SignalSpec, *,
@@ -227,10 +219,9 @@ def _sweep(
 ) -> SweepResult:
     """A sweep with one row per (leading entries, phi, input size) point.
 
-    Row r draws its counts from stream r.  Each input size is sized, true
-    and measured, once: at the first point of it that heralds.
+    Row r draws its counts from stream r.  Each row's input sizes, true and
+    measured, are the ones its run reports.
     """
-    sizes: dict[float, tuple[float, float]] = {}
     rows = []
     for stream, (lead, phi, size) in enumerate(points):
         spec = SignalSpec("coherent", math.sqrt(size))
@@ -240,12 +231,9 @@ def _sweep(
                                 out.herald_probability, out.truncation_weight,
                                 0, 0, 0, 0, math.nan, math.nan, "zero_herald"])
             continue
-        if size not in sizes:
-            input_true = true_input_size(spec, photon_cap=photon_cap)
-            sizes[size] = input_true, (
-                measure_input_size(spec, gate, photon_cap=photon_cap)
-                if convention is MeasurementConvention.THROUGH_GATE else input_true)
-        input_true, input_measured = sizes[size]
+        input_true = _defined(out.size_in_true)
+        input_measured = _defined(out.size_in_measured) \
+            if convention is MeasurementConvention.THROUGH_GATE else input_true
         output_ideal = out.size_out
         if output_ideal is None:
             raise ZeroDivisionError("conditional state has no vacuum component")

@@ -357,9 +357,3 @@ def mode_marginal(basis: FockBasis, weights: np.ndarray, mode: int) -> np.ndarra
     which need not be a State's."""
     return np.bincount(basis.counts(mode), weights,
                        minlength=basis.photon_cap + 1)
-
-
-def occupancy_probability(state: State, mode: int, n: int) -> float:
-    """Probability weight of exactly n photons in one mode (no renormalizing)."""
-    dist = occupancy_distribution(state, mode)
-    return float(dist[n]) if 0 <= n < len(dist) else 0.0

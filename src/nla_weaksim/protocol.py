@@ -36,7 +36,8 @@ permanents, once per cap.  The full lift (gate_operator) is never built
 for a run.  A run at meter phase phi then applies
 M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal elementwise.  M is
 diagonal in photon number, so it keeps the state's form: psi goes to M psi
-and p to |M|^2 p.  The through-gate input size uses K_HH.
+and p to |M|^2 p.  A run reads its input sizes from the signal's weights:
+the true one as they are, the through-gate one weighted by |K_HH|^2.
 """
 
 from __future__ import annotations
@@ -167,14 +168,18 @@ class ProtocolOutcome:
 
     p1_out and size_out read the one signal V marginal of the conditional
     state: its one-photon probability and its vacuum-relative odds
-    P(1)/P(0), the output size.  size_out is None when the herald vanished
-    or the marginal has no vacuum.
+    P(1)/P(0), the output size.  size_in_true and size_in_measured are the
+    odds of the input signal as prepared and as measured through the gate
+    (see _through_gate).  A size is None where its marginal has no vacuum,
+    and size_out also where the herald vanished.
     """
 
     conditional_state: State | None
     herald_probability: float
     p1_out: float
     size_out: float | None
+    size_in_true: float | None
+    size_in_measured: float | None
     truncation_weight: float
     amplitude_gain: complex | None = None
 
@@ -360,21 +365,7 @@ def gate_operator(
 
 
 def prepare_signal(spec: SignalSpec, photon_cap: int) -> tuple[State, float]:
-    """Signal state on the (H, V) signal modes per the spec, plus tail weight.
-
-    Cached: the run and the input sizes of one point share one read-only
-    state.  The key holds the amplitude's type because specs with equal
-    float and complex amplitudes compare equal, yet their powers round
-    differently.
-    """
-    return _prepare_signal(spec, type(spec.alpha), photon_cap)
-
-
-# bounded: sweeps draw a new spec per point, so only the last few recur
-@lru_cache(maxsize=8)
-def _prepare_signal(
-    spec: SignalSpec, alpha_type: type, photon_cap: int
-) -> tuple[State, float]:
+    """Signal state on the (H, V) signal modes per the spec, plus tail weight."""
     if spec.kind == "phase_averaged":
         return phase_averaged_state(spec.alpha_at_gate, photon_cap)
     # (n_H, n_V) = (0, n) is basis state n for n <= cap
@@ -474,6 +465,22 @@ def apply_herald(m: np.ndarray, state: State) -> tuple[State | None, float]:
     return State._derived(state.basis, c / math.sqrt(prob), q / prob), prob
 
 
+def _odds(dist: np.ndarray) -> float | None:
+    """Vacuum-relative odds P(1)/P(0) of a photon-number distribution; None
+    without vacuum."""
+    p0 = float(dist[0])
+    p1 = float(dist[1]) if len(dist) > 1 else 0.0
+    return p1 / p0 if p0 > 0.0 else None
+
+
+def _through_gate(basis: FockBasis, k_hh: np.ndarray,
+                  weights: np.ndarray) -> float | None:
+    """Input size as the bench measures it: the odds of the signal weights
+    times |K_HH|^2, what a meter photon sent in and heralded in H passes."""
+    return _odds(fock.mode_marginal(basis, np.abs(k_hh) ** 2 * weights,
+                                    _SIGNAL_V))
+
+
 def _weight_at_cap(state: State) -> float:
     return float(state.weights()[state.basis.at_cap()].sum())
 
@@ -517,14 +524,16 @@ def run_nla(
     cap.  Returns the conditional signal state and the herald probability;
     from the conditional state's one signal V marginal, its one-photon
     probability p1_out and its vacuum-relative odds P(1)/P(0), size_out
-    (None without vacuum); the truncation weight: the prepared tail beyond
-    the cap plus the signal weight at the cap, which has no room for the
-    meter photon; and for a pure conditional state (no populations) of a
-    spec the amplitude gain c1 / (c0 alpha_at_gate).  For a spec the
-    truncation weight faces TRUNCATION_BOUND: a TruncationError if it
-    exceeds it.  The run is the same on every layout: the layout only names
-    the modes of the conditional state, whose basis then covers the
-    layout's two signal modes (see _signal_order).
+    (None without vacuum); the input sizes, the odds of the signal's
+    weights as prepared and through the gate (see _through_gate); the
+    truncation weight: the prepared tail beyond the cap plus the signal
+    weight at the cap, which has no room for the meter photon; and for a
+    pure conditional state (no populations) of a spec the amplitude gain
+    c1 / (c0 alpha_at_gate).  For a spec the truncation weight faces
+    TRUNCATION_BOUND: a TruncationError if it exceeds it.  The run is the
+    same on every layout: the layout only names the modes of the
+    conditional state, whose basis then covers the layout's two signal
+    modes (see _signal_order).
     """
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
     basis, k_hh, k_vv = herald_operators(gate, photon_cap)
@@ -541,13 +550,14 @@ def run_nla(
     truncation = tail + _weight_at_cap(sig_state)
     if spec is not None:
         _face_bound(spec.kind.replace("_", "-"), truncation, photon_cap)
+    sizes_in = (_odds(fock.occupancy_distribution(sig_state, _SIGNAL_V)),
+                _through_gate(basis, k_hh, sig_state.weights()))
     # meter (|H> + i e^{i phi} |V>)/sqrt(2) in, herald (|H> - i|V>)/sqrt(2)
     heralded = (k_hh - cmath.exp(1.0j * phi) * k_vv) / 2.0
     cond, prob = apply_herald(heralded, sig_state)
     if cond is None:
-        return ProtocolOutcome(None, prob, 0.0, None, truncation)
+        return ProtocolOutcome(None, prob, 0.0, None, *sizes_in, truncation)
     dist = fock.occupancy_distribution(cond, _SIGNAL_V)
-    p0, p1 = float(dist[0]), float(dist[1])
     amp_gain = None
     alpha = spec.alpha_at_gate if spec is not None else 0
     if alpha != 0 and not np.count_nonzero(cond.populations):
@@ -559,8 +569,8 @@ def run_nla(
         named, order = _signal_order(layout.signal, photon_cap)
         cond = State._derived(named, cond.amplitudes[order],
                               cond.populations[order])
-    return ProtocolOutcome(cond, prob, p1, p1 / p0 if p0 > 0.0 else None,
-                           truncation, amp_gain)
+    return ProtocolOutcome(cond, prob, float(dist[1]), _odds(dist),
+                           *sizes_in, truncation, amp_gain)
 
 
 def analytic(

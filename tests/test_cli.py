@@ -137,6 +137,26 @@ def test_protocol_reads_one_marginal_per_state(signal, monkeypatch, capsys):
                                                     rel=1e-12)
 
 
+@pytest.mark.parametrize("signal", ["coherent", "phase-averaged", "qubit"])
+def test_protocol_point_runs_and_prepares_once(signal, monkeypatch, capsys):
+    # the run reports both input sizes from the signal it prepared
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("run_nla", "prepare_signal"):
+        monkeypatch.setattr(protocol, name,
+                            counted(name, getattr(protocol, name)))
+    assert main(["protocol", "--gain", "3", "--alpha2", "1e-3", "--loss",
+                 "0.2", "--signal", signal, "--format", "csv"]) == 0
+    assert sorted(calls) == ["prepare_signal", "run_nla"]
+    assert capsys.readouterr().out.count("\n") == 2
+
+
 def test_protocol_rejects_phi_and_gain(capsys):
     assert main(["protocol", "--phi", "1.0", "--gain", "3"]) == 2
 
@@ -649,13 +669,41 @@ def test_vacuum_input_exits_two(args, capsys):
     assert "--alpha2" in captured.err and "--loss" in captured.err
 
 
+def _value_options():
+    """(command, option) for every option of every subcommand that takes a
+    value."""
+    _, sub = cli.build_parser()
+    return [(command, opt)
+            for command, sp in sorted(sub.choices.items())
+            for act in sp._actions if act.option_strings and act.nargs is None
+            for opt in act.option_strings]
+
+
+@pytest.mark.parametrize("command, opt", _value_options())
+def test_an_empty_value_exits_two(command, opt, tmp_path, monkeypatch, capsys):
+    # before 3.13 argparse reads `--opt=--` as an empty list, which skips
+    # the option's type and choices
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    base = ["--gain", "3"] if command == "protocol" and opt not in (
+        "--phi", "--gain") else []
+    code = main([command, *base, f"{opt}=--"])
+    err = capsys.readouterr().err
+    if opt == "--output" and code == 0:
+        # argparse passed `--` through as a file name
+        assert (tmp_path / "--").is_file()
+        return
+    assert code == 2
+    assert "error:" in err
+
+
 @pytest.mark.parametrize("args", [
     ["gain-sweep", "--gains", "3", "--inputs", "1e-5"],
     ["gain-vs-phi", "--inputs", "1e-5", "--phis", "1.0"],
 ], ids=["gain-sweep", "gain-vs-phi"])
 def test_vanished_herald_exits_numerical_with_shots(args, monkeypatch):
     def vanished(*_args, **_kwargs):
-        return protocol.ProtocolOutcome(None, 0.0, 0.0, None, 0.0)
+        return protocol.ProtocolOutcome(None, 0.0, 0.0, None, None, None, 0.0)
 
     monkeypatch.setattr(protocol, "run_nla", vanished)
     assert main(args) == 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nla_weaksim import experiment
+from nla_weaksim import experiment, protocol
 from nla_weaksim.elements import DEFAULT_LAYOUT
 from nla_weaksim.experiment import (
     CountingModel,
@@ -195,22 +195,31 @@ def test_gain_sweep_samples_output_only_with_a_counting_model():
     assert math.isnan(res.rows[0][-1])
 
 
-@pytest.mark.parametrize("sweep", [
-    lambda: gain_sweep([2.0, 3.0], [1e-4, 2e-4, 1e-4]),
-    lambda: gain_vs_phi([1e-4, 2e-4, 1e-4], [0.5, 1.0, 1.5]),
+@pytest.mark.parametrize("sweep, points", [
+    (lambda: gain_sweep([2.0, 3.0], [1e-4, 2e-4, 1e-4]), 6),
+    (lambda: gain_vs_phi([1e-4, 2e-4, 1e-4], [0.5, 1.0, 1.5]), 9),
 ], ids=["gain_sweep", "gain_vs_phi"])
-def test_sweeps_size_each_distinct_input_once(monkeypatch, sweep):
-    sized = []
+def test_sweep_rows_carry_their_runs_input_sizes(monkeypatch, sweep, points):
+    # one run per row, whose input sizes fill the row; no separate sizing
+    runs = []
+    run_nla = protocol.run_nla
 
     def counted(spec, *args, **kwargs):
-        sized.append(spec.alpha ** 2)
-        return measure_input_size(spec, *args, **kwargs)
+        runs.append(spec)
+        return run_nla(spec, *args, **kwargs)
 
-    monkeypatch.setattr(experiment, "measure_input_size", counted)
+    def unused(*_args, **_kwargs):
+        raise AssertionError("a sweep sizes its inputs through its runs")
+
+    monkeypatch.setattr(protocol, "run_nla", counted)
+    monkeypatch.setattr(experiment, "true_input_size", unused)
+    monkeypatch.setattr(experiment, "measure_input_size", unused)
     res = sweep()
-    assert sorted(sized) == pytest.approx([1e-4, 2e-4], rel=1e-12)
+    assert len(runs) == len(res.rows) == points
     ci = {c: i for i, c in enumerate(res.columns)}
-    for row in res.rows:
+    for spec, row in zip(runs, res.rows):
+        assert row[ci["input_true"]] == true_input_size(spec)
+        assert row[ci["input_measured"]] == measure_input_size(spec)
         assert row[ci["input_measured"]] == pytest.approx(
             row[ci["input_true"]] / 3, rel=1e-10)
 

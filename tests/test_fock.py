@@ -18,7 +18,6 @@ from nla_weaksim.fock import (
     compose_transforms,
     lift_mode_transform,
     occupancy_distribution,
-    occupancy_probability,
     permanent,
 )
 from oracles import ModeOverlapError, beamsplitter, partial_trace, tensor
@@ -276,9 +275,7 @@ def test_occupancy_probability_and_distribution():
     a = _coherent_vector(0.3, 3, 0)
     dist = occupancy_distribution(a, 0)
     assert dist.sum() == pytest.approx(_norm2(a), rel=1e-12)
-    assert occupancy_probability(a, 0, 1) == pytest.approx(
-        abs(_amp(a, (1,))) ** 2, rel=1e-12
-    )
+    assert dist[1] == pytest.approx(abs(_amp(a, (1,))) ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("num_modes, cap", [(1, 3), (2, 4), (3, 3)])
@@ -303,9 +300,6 @@ def test_occupancy_distribution_matches_loop_sum(rng, num_modes, cap):
                 for n in range(cap + 1)
             ]
             assert occupancy_distribution(state, mode).tolist() == loop
-            for n in range(-1, cap + 2):
-                want = loop[n] if 0 <= n <= cap else 0.0
-                assert occupancy_probability(state, mode, n) == want
 
 
 def test_basis_arrays_are_cached_per_shape():

@@ -364,15 +364,46 @@ def test_lossy_coherent_run_is_the_attenuated_lossless_run():
     assert gone.amplitude_gain is None
 
 
-def test_prepared_signal_is_shared_and_bounded():
-    spec = SignalSpec("coherent", 0.03, loss=0.2)
-    state, _ = prepare_signal(spec, 4)
-    assert prepare_signal(spec, 4)[0] is state
+@pytest.mark.parametrize("kind", ["coherent", "qubit_truncated",
+                                  "phase_averaged"])
+def test_prepared_signal_is_read_only(kind):
+    state, _ = prepare_signal(SignalSpec(kind, 0.03, loss=0.2), 4)
     assert not state.amplitudes.flags.writeable
-    for i in range(20):
-        prepare_signal(SignalSpec("phase_averaged", 0.01 * (i + 1)), 3)
-    info = protocol._prepare_signal.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
+    assert not state.populations.flags.writeable
+    assert not state.weights().flags.writeable
+
+
+def _odds_of_weights(basis, weights):
+    """P(1)/P(0) of signal V, summed over the occupation tuples."""
+    pos = basis.position(DEFAULT_LAYOUT.signal_v)
+    p0, p1 = (math.fsum(w for occ, w in zip(basis.occupations, weights)
+                        if occ[pos] == n) for n in (0, 1))
+    return p1 / p0
+
+
+@pytest.mark.parametrize("cap", [3, 4, 5, 6])
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+@pytest.mark.parametrize("gate", ["ppbs", "ideal"])
+@pytest.mark.parametrize("kind", ["coherent", "qubit_truncated",
+                                  "phase_averaged"])
+def test_run_reports_both_input_sizes_of_its_signal(kind, gate, loss, cap):
+    # second route: the diagonal of the dense density matrix of the prepared
+    # signal, and the closed-form herald diagonals for the through-gate size
+    k_hh, _ = oracles.herald_diagonals(gate, cap)
+    for alpha in (0.02, 0.3, complex(0.1, 0.2)):
+        spec = SignalSpec(kind, alpha, loss=loss)
+        state, _ = prepare_signal(spec, cap)
+        diag = np.diag(oracles.dense(state)).real
+        out = run_nla(spec, MeterSetting(1.1), gate, photon_cap=cap)
+        assert out.size_in_true == pytest.approx(
+            _odds_of_weights(state.basis, diag), rel=1e-12, abs=0.0)
+        assert out.size_in_measured == pytest.approx(
+            _odds_of_weights(state.basis, np.abs(k_hh) ** 2 * diag),
+            rel=1e-12, abs=0.0)
+        assert out.size_in_true == experiment.true_input_size(
+            spec, photon_cap=cap)
+        assert out.size_in_measured == experiment.measure_input_size(
+            spec, gate, photon_cap=cap)
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4, 8])
@@ -727,7 +758,7 @@ def test_loss_before_gate_produces_mixed_signal():
     state, _ = prepare_signal(spec, 3)
     assert state.populations.any()
     n2 = math.exp(-0.25)
-    p1 = fock.occupancy_probability(state, DEFAULT_LAYOUT.signal_v, 1)
+    p1 = fock.occupancy_distribution(state, DEFAULT_LAYOUT.signal_v)[1]
     assert p1 == pytest.approx(n2 * 0.25 * 0.4, rel=1e-12)
     out = run_nla(spec, MeterSetting(1.1))
     assert out.conditional_state.populations.any()
