@@ -9,6 +9,7 @@ compared against the classical amplifier bound 1/sqrt(g2).
 import argparse
 from pathlib import Path
 
+from nla_weaksim.cli import ConfigError, check_values
 from nla_weaksim.experiment import CountingModel, visibility_experiment
 
 GAINS = [2.0, 3.0, 4.0, 5.0]
@@ -24,8 +25,11 @@ def main():
     ap.add_argument("--seed", default=20260814, type=int)
     ap.add_argument("--rate-scale", default=1e4, type=float)
     args = ap.parse_args()
-    if args.shots < 0:
-        ap.error(f"--shots {args.shots} is negative; 0 turns counting noise off")
+    try:
+        # the options shared with `nla-weaksim visibility`, in its domains
+        check_values("visibility", vars(args))
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     counting = None
     if args.shots > 0:

@@ -10,6 +10,7 @@ import argparse
 import math
 from pathlib import Path
 
+from nla_weaksim.cli import ConfigError, check_values
 from nla_weaksim.experiment import CountingModel, HeraldingModel, gain_sweep
 from nla_weaksim.io import csv_text, svg_text
 
@@ -26,11 +27,14 @@ def main():
     ap.add_argument("--seed", default=20260814, type=int)
     ap.add_argument("--rate-scale", default=100.0, type=float)
     args = ap.parse_args()
-    if args.shots < 0:
-        ap.error(f"--shots {args.shots} is negative; 0 turns counting noise off")
+    try:
+        # the options shared with `nla-weaksim gain-sweep`, in its domains
+        check_values("gain-sweep", vars(args))
+    except ConfigError as exc:
+        ap.error(str(exc))
 
     args.outdir.mkdir(parents=True, exist_ok=True)
-    herald = HeraldingModel(args.epsilon)
+    herald = HeraldingModel(args.epsilon) if args.epsilon else None
     counting = None
     if args.shots:
         counting = CountingModel(shots=args.shots, seed=args.seed,

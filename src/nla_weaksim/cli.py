@@ -13,10 +13,13 @@ with too few counts to fit).
 Environment: NLA_WEAKSIM_OUTDIR prefixes relative --output paths;
 NLA_WEAKSIM_MAX_BASIS caps the truncated basis size.
 
-build_parser declares the one argparse tree.  A subcommand's options are
-read in one walk over its parser's action table (exact option strings,
-`--opt value` or `--opt=value`); any other argv, and help, goes to the
-tree's parse_args, which parses it or writes argparse's usage and errors.
+COMMANDS holds one table of options per subcommand (see Opt), and every
+route reads it: build_parser declares the argparse tree from it; _walk
+reads a subcommand's argv against it in one pass, and leaves any argv it
+cannot read as argparse would (help among them) to the tree's parse_args;
+_parse turns --config values into flags and checks them by it; and
+check_values checks each value against its option's domain, naming the
+flag, or the config file and key.
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from . import io as _io
 from . import protocol
@@ -46,18 +51,17 @@ from .protocol import InfiniteGainError, MeterSetting, SignalSpec
 
 OUTDIR_ENV = "NLA_WEAKSIM_OUTDIR"
 
-DEFAULT_SWEEP_GAINS = "2.1213203435596424,3,6"
-DEFAULT_SWEEP_INPUTS = "1e-5:1e-3:log13"
-DEFAULT_PHI_INPUTS = "0.0006,0.0012"
-DEFAULT_PHI_GRID = "0.1:3.1:lin31"
-DEFAULT_VIS_GAINS = "2,3,4,5"
-
 _SIGNAL_KINDS = {
     "coherent": "coherent",
     "qubit": "qubit_truncated",
     "qubit_truncated": "qubit_truncated",
     "phase-averaged": "phase_averaged",
     "phase_averaged": "phase_averaged",
+}
+
+_CONVENTIONS = {
+    "through": MeasurementConvention.THROUGH_GATE,
+    "true": MeasurementConvention.TRUE_INPUT,
 }
 
 
@@ -109,65 +113,16 @@ def parse_grid(spec: str) -> list[float]:
     return values
 
 
-def _resolve_output(path: Optional[str]) -> Optional[Path]:
-    if path is None:
-        return None
-    p = Path(path)
-    outdir = os.environ.get(OUTDIR_ENV)
-    if outdir and not p.is_absolute():
-        p = Path(outdir) / p
-    if p.parent != Path("."):
-        try:
-            p.parent.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create output directory {p.parent}: {exc}") from exc
-    return p
-
-
-def _emit(text: str, path: Optional[Path]) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            path.write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {path}: {exc}") from exc
-
-
 def _counting(ns: argparse.Namespace) -> Optional[CountingModel]:
-    if ns.shots < 0:
-        raise ConfigError(f"--shots {ns.shots} is negative; 0 disables sampling")
     if ns.shots == 0:
         return None
     if ns.seed is None:
         raise ConfigError("--seed is required when --shots > 0")
-    if ns.seed < 0:
-        raise ConfigError(f"--seed {ns.seed} is negative; seeds start at 0")
     return CountingModel(shots=ns.shots, seed=ns.seed, rate_scale=ns.rate_scale)
 
 
-def _herald(ns: argparse.Namespace) -> Optional[HeraldingModel]:
-    if ns.epsilon < 0.0:
-        raise ConfigError(f"--epsilon {ns.epsilon} is negative; 0 disables it")
-    if ns.epsilon == 0.0:
-        return None
-    return HeraldingModel(epsilon=ns.epsilon)
-
-
-def _convention(name: str) -> MeasurementConvention:
-    if name == "through":
-        return MeasurementConvention.THROUGH_GATE
-    if name == "true":
-        return MeasurementConvention.TRUE_INPUT
-    raise ConfigError(f"unknown convention {name!r}")
-
-
+# not recorded in a JSON envelope's config, nor read from a --config file
 CONFIG_EXCLUDE = {"config", "output", "fn"}
-
-
-def _effective_config(ns: argparse.Namespace) -> dict:
-    """The options a JSON envelope records; the envelope sorts them."""
-    return {k: v for k, v in vars(ns).items() if k not in CONFIG_EXCLUDE}
 
 
 def _load_config(path: str) -> dict:
@@ -184,18 +139,36 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _render_table(result: SweepResult, ns: argparse.Namespace,
-                  svg_spec: Optional[dict]) -> str:
-    fmt = ns.format
-    if fmt == "csv":
-        return _io.csv_text(result)
-    if fmt == "json":
-        return _io.json_text(result, config=_effective_config(ns))
-    if fmt == "svg":
-        if svg_spec is None:
-            raise ConfigError("no plot defined for this command; use csv or json")
-        return _io.svg_text(result, **svg_spec)
-    raise ConfigError(f"unknown format {fmt!r}")
+def _emit(result: SweepResult, ns: argparse.Namespace,
+          svg_spec: Optional[dict]) -> None:
+    """Write the result in ns.format to ns.output, or to stdout; relative
+    paths go under $NLA_WEAKSIM_OUTDIR when it is set."""
+    if ns.format == "csv":
+        text = _io.csv_text(result)
+    elif ns.format == "json":
+        # the envelope sorts the options
+        text = _io.json_text(result, config={
+            k: v for k, v in vars(ns).items() if k not in CONFIG_EXCLUDE})
+    elif svg_spec is None:
+        raise ConfigError("no plot defined for this command; use csv or json")
+    else:
+        text = _io.svg_text(result, **svg_spec)
+    if ns.output is None:
+        sys.stdout.write(text)
+        return
+    path = Path(ns.output)
+    outdir = os.environ.get(OUTDIR_ENV)
+    if outdir and not path.is_absolute():
+        path = Path(outdir) / path
+    if path.parent != Path("."):
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path.parent}: {exc}") from exc
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from exc
 
 
 def _phi_from(ns: argparse.Namespace) -> float:
@@ -207,11 +180,7 @@ def _phi_from(ns: argparse.Namespace) -> float:
 
 
 def cmd_protocol(ns: argparse.Namespace) -> int:
-    kind = _SIGNAL_KINDS.get(ns.signal)
-    if kind is None:
-        raise ConfigError(f"unknown signal kind {ns.signal!r}")
-    if ns.alpha2 < 0:
-        raise ConfigError(f"--alpha2 {ns.alpha2} is negative")
+    kind = _SIGNAL_KINDS[ns.signal]
     phi = _phi_from(ns)
     spec = SignalSpec(kind, math.sqrt(ns.alpha2), loss=ns.loss)
     pred = protocol.analytic(phi, spec.alpha_at_gate, ns.gate)
@@ -254,7 +223,7 @@ def cmd_protocol(ns: argparse.Namespace) -> int:
         rows=[row],
         meta={"norm_in": pred.norm_in, "norm_out": pred.norm_out},
     )
-    _emit(_render_table(result, ns, None), _resolve_output(ns.output))
+    _emit(result, ns, None)
     return 0
 
 
@@ -265,18 +234,12 @@ def _herald_exit_code(result: SweepResult) -> int:
 
 
 def cmd_gain_sweep(ns: argparse.Namespace) -> int:
-    gains = parse_grid(ns.gains)
-    inputs = parse_grid(ns.inputs)
-    if any(g < 0 for g in gains):
-        raise ConfigError("nominal gains must be nonnegative")
-    if any(s <= 0 for s in inputs):
-        raise ConfigError("input sizes must be positive")
-    herald = _herald(ns)
     counting = _counting(ns)
-    convention = _convention(ns.convention)
     res = gain_sweep(
-        gains, inputs, ns.gate, herald=herald, counting=counting,
-        photon_cap=ns.cap, convention=convention,
+        parse_grid(ns.gains), parse_grid(ns.inputs), ns.gate,
+        herald=HeraldingModel(ns.epsilon) if ns.epsilon else None,
+        counting=counting, photon_cap=ns.cap,
+        convention=_CONVENTIONS[ns.convention],
     )
     svg = {
         "x_column": "input_measured",
@@ -287,7 +250,7 @@ def cmd_gain_sweep(ns: argparse.Namespace) -> int:
     }
     if counting is not None:
         svg["sampled_column"] = "output_sampled"
-    _emit(_render_table(res, ns, svg), _resolve_output(ns.output))
+    _emit(res, ns, svg)
     return _herald_exit_code(res)
 
 
@@ -296,11 +259,11 @@ def cmd_gain_vs_phi(ns: argparse.Namespace) -> int:
     phis = parse_grid(ns.phis)
     if ns.degrees:
         phis = [math.radians(p) for p in phis]
-    if any(s <= 0 for s in inputs):
-        raise ConfigError("input sizes must be positive")
     res = gain_vs_phi(
-        inputs, phis, ns.gate, herald=_herald(ns), counting=_counting(ns),
-        photon_cap=ns.cap, convention=_convention(ns.convention),
+        inputs, phis, ns.gate,
+        herald=HeraldingModel(ns.epsilon) if ns.epsilon else None,
+        counting=_counting(ns), photon_cap=ns.cap,
+        convention=_CONVENTIONS[ns.convention],
     )
     # one column pair per input size so the plot shows separate curves
     ci = {c: i for i, c in enumerate(res.columns)}
@@ -321,28 +284,17 @@ def cmd_gain_vs_phi(ns: argparse.Namespace) -> int:
         "logy": True,
         "title": "heralded output size vs meter phase",
     }
-    if ns.format == "svg":
-        _emit(_io.svg_text(wide, **svg), _resolve_output(ns.output))
-    else:
-        _emit(_render_table(res, ns, None), _resolve_output(ns.output))
+    _emit(wide if ns.format == "svg" else res, ns, svg)
     return _herald_exit_code(res)
 
 
 def cmd_visibility(ns: argparse.Namespace) -> int:
-    gains = parse_grid(ns.gains)
-    if any(g < 1.0 for g in gains):
-        raise ConfigError("visibility bound needs nominal gains >= 1")
-    if ns.alpha <= 0:
-        raise ConfigError(f"--alpha {ns.alpha} must be positive")
-    if ns.points < 4:
-        raise ConfigError("--points must be at least 4 to fit a fringe")
-    if ns.bias is not None and ns.bias < 0:
-        raise ConfigError(f"--bias {ns.bias} is negative")
     counting = _counting(ns)
     try:
         scans = visibility_experiment(
-            gains, input_mag=ns.alpha, phase_points=ns.points, gate=ns.gate,
-            bias_ratio=ns.bias, counting=counting, photon_cap=ns.cap,
+            parse_grid(ns.gains), input_mag=ns.alpha, phase_points=ns.points,
+            gate=ns.gate, bias_ratio=ns.bias, counting=counting,
+            photon_cap=ns.cap,
         )
     except ZeroDivisionError as exc:
         if counting is None:
@@ -380,45 +332,160 @@ def cmd_visibility(ns: argparse.Namespace) -> int:
         "y_columns": ["visibility", "classical_bound"],
         "title": "fringe visibility vs nominal gain",
     }
-    _emit(_render_table(result, ns, svg), _resolve_output(ns.output))
+    _emit(result, ns, svg)
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, gate_default: str) -> None:
-    p.add_argument("--gate", choices=("ppbs", "ideal"), default=gate_default,
-                   help="gate realization (default %(default)s)")
-    p.add_argument("--cap", type=int, default=protocol.DEFAULT_PHOTON_CAP,
-                   help="total photon cap of the truncated space "
-                        "(default %(default)s)")
-    p.add_argument("--format", choices=("csv", "json", "svg"), default="csv",
-                   help="output format (default %(default)s)")
-    p.add_argument("--output", help="output file (default stdout); relative "
-                                    f"paths honor ${OUTDIR_ENV}")
-    p.add_argument("--config", help="JSON file with option defaults; a result "
-                                    "envelope's 'config' block also works")
+@dataclass(frozen=True)
+class Opt:
+    """One option of a subcommand.  type is None for a string and bool for
+    a bare flag.  Its domain: a float is finite, and test(value) holds,
+    else the message reads '<flag> <value> <why>'.  exclusive puts it in
+    the subcommand's one mutually exclusive group."""
+
+    flag: str
+    help: str
+    type: Optional[Callable[[str], Any]] = None
+    default: Any = None
+    test: Optional[Callable[[Any], bool]] = None
+    why: str = ""
+    choices: Optional[Sequence[str]] = None
+    exclusive: bool = False
+
+    @cached_property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
 
-def _add_counting(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--shots", type=int, default=0,
-                   help="trials for Poissonian counting; 0 disables sampling")
-    p.add_argument("--seed", type=int, default=None,
-                   help="RNG seed, required when --shots > 0")
-    p.add_argument("--rate-scale", dest="rate_scale", type=float, default=1.0,
-                   help="rate multiplier applied before drawing counts")
+class Command(NamedTuple):
+    help: str
+    fn: Callable[[argparse.Namespace], int]
+    opts: tuple[Opt, ...]
 
 
-def _add_detection(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", type=float, default=0.35,
-                   help="herald saturation scale; 0 disables the model "
-                        "(default %(default)s)")
-    _add_counting(p)
-    p.add_argument("--convention", choices=("through", "true"),
-                   default="through",
-                   help="input-size reference: measured through the gate or "
-                        "the true prepared size (default %(default)s)")
+def _each(test: Callable[[float], bool]) -> Callable[[str], bool]:
+    """test of every value of a grid, which parse_grid must read."""
+    return lambda spec: all(test(v) for v in parse_grid(spec))
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]:
+def _common(gate: str, fmt: str = "csv") -> tuple[Opt, ...]:
+    return (
+        Opt("--gate", "gate realization (default %(default)s)", None, gate,
+            choices=("ppbs", "ideal")),
+        Opt("--cap", "total photon cap of the truncated space "
+                     "(default %(default)s)",
+            int, protocol.DEFAULT_PHOTON_CAP, lambda v: v >= 2,
+            "must be at least 2, the photons the gate acts on"),
+        Opt("--format", "output format (default %(default)s)", None, fmt,
+            choices=("csv", "json", "svg")),
+        Opt("--output", "output file (default stdout); relative "
+                        f"paths honor ${OUTDIR_ENV}"),
+        Opt("--config", "JSON file with option defaults; a result "
+                        "envelope's 'config' block also works"),
+    )
+
+
+_COUNTING = (
+    Opt("--shots", "trials for Poissonian counting; 0 disables sampling",
+        int, 0, lambda v: v >= 0, "is negative; 0 disables sampling"),
+    Opt("--seed", "RNG seed, required when --shots > 0", int, None,
+        lambda v: v >= 0, "is negative; seeds start at 0"),
+    Opt("--rate-scale", "rate multiplier applied before drawing counts",
+        float, 1.0, lambda v: v > 0, "must be positive"),
+)
+
+_DETECTION = (
+    Opt("--epsilon", "herald saturation scale; 0 disables the model "
+                     "(default %(default)s)",
+        float, 0.35, lambda v: 0 <= v <= 1, "is outside [0, 1]; 0 disables it"),
+    *_COUNTING,
+    Opt("--convention", "input-size reference: measured through the gate or "
+                        "the true prepared size (default %(default)s)",
+        None, "through", choices=tuple(_CONVENTIONS)),
+)
+
+COMMANDS = {
+    "protocol": Command("single heralded run", cmd_protocol, (
+        Opt("--phi", "meter phase", float, exclusive=True),
+        Opt("--gain", "nominal intensity gain; sets phi = 2 atan(1/sqrt g)",
+            float, None, lambda v: v >= 0, "is negative", exclusive=True),
+        Opt("--alpha2", "input size |alpha|^2 (default %(default)s)", float,
+            1e-4, lambda v: v >= 0, "is negative"),
+        Opt("--signal", "input state kind (default %(default)s)", None,
+            "coherent", choices=sorted(_SIGNAL_KINDS)),
+        Opt("--loss", "pre-gate loss on the signal (default %(default)s)",
+            float, 0.0, lambda v: 0 <= v <= 1, "is outside [0, 1]"),
+        Opt("--degrees", "interpret --phi in degrees", bool, False),
+        *_common("ppbs", "json"),
+    )),
+    "gain-sweep": Command("output size vs input size", cmd_gain_sweep, (
+        Opt("--gains", "nominal intensity gains, grid or comma list "
+                       "(default %(default)s)",
+            None, "2.1213203435596424,3,6", _each(lambda g: g >= 0),
+            "has a negative gain"),
+        Opt("--inputs", "input sizes |alpha|^2 (default %(default)s)", None,
+            "1e-5:1e-3:log13", _each(lambda v: v > 0),
+            "has a size that is not positive"),
+        *_DETECTION,
+        *_common("ppbs"),
+    )),
+    "gain-vs-phi": Command("output size vs meter phase", cmd_gain_vs_phi, (
+        Opt("--inputs", "input sizes |alpha|^2 (default %(default)s)", None,
+            "0.0006,0.0012", _each(lambda v: v > 0),
+            "has a size that is not positive"),
+        Opt("--phis", "meter phase grid (default %(default)s)", None,
+            "0.1:3.1:lin31", _each(math.isfinite)),
+        Opt("--degrees", "interpret --phis in degrees", bool, False),
+        *_DETECTION,
+        *_common("ppbs"),
+    )),
+    "visibility": Command("fringe visibility scans", cmd_visibility, (
+        Opt("--gains", "nominal intensity gains (default %(default)s)", None,
+            "2,3,4,5", _each(lambda g: g >= 1),
+            "has a gain below 1, where the visibility bound is undefined"),
+        Opt("--alpha", "input amplitude magnitude (default %(default)s)",
+            float, 0.0015, lambda v: v > 0, "must be positive"),
+        Opt("--points", "analysis phases per scan (default %(default)s)", int,
+            16, lambda v: v >= 4, "must be at least 4 to fit a fringe"),
+        Opt("--bias", "H:V input intensity ratio (default: the nominal "
+                      "gain, which pre-compensates the amplification)",
+            float, None, lambda v: v >= 0, "is negative"),
+        *_COUNTING,
+        *_common("ideal"),
+    )),
+}
+
+# per command: its options by flag, the namespace entries when no option is
+# given (the defaults, then fn), and the options with a domain to check
+_FLAGS = {name: {o.flag: o for o in c.opts} for name, c in COMMANDS.items()}
+_DEFAULTS = {name: {**{o.dest: o.default for o in c.opts}, "fn": c.fn}
+             for name, c in COMMANDS.items()}
+_CHECKED = {name: [o for o in c.opts if o.test or o.type is float]
+            for name, c in COMMANDS.items()}
+
+
+def check_values(command: str, values: Mapping[str, Any],
+                 source: Optional[str] = None) -> None:
+    """A ConfigError naming the flag, or the config file source and the
+    key, for the first of values (by dest, in table order, None not given)
+    outside its option's domain."""
+    for opt in _CHECKED[command]:
+        value = values.get(opt.dest)
+        if value is None:
+            continue
+        where = opt.flag if source is None else f"config {source}: {opt.dest}"
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} {value} is not finite")
+        try:
+            if opt.test is None or opt.test(value):
+                continue
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        raise ConfigError(f"{where} {value} {opt.why}")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="nla-weaksim",
         description="heralded weak-measurement amplification of small "
@@ -426,146 +493,85 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse._SubParsersAction]
                     "visibility scans",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("protocol", help="single heralded run")
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--phi", type=float, help="meter phase")
-    grp.add_argument("--gain", type=float,
-                     help="nominal intensity gain; sets phi = 2 atan(1/sqrt g)")
-    p.add_argument("--alpha2", type=float, default=1e-4,
-                   help="input size |alpha|^2 (default %(default)s)")
-    p.add_argument("--signal", default="coherent",
-                   choices=sorted(_SIGNAL_KINDS),
-                   help="input state kind (default %(default)s)")
-    p.add_argument("--loss", type=float, default=0.0,
-                   help="pre-gate loss on the signal (default %(default)s)")
-    p.add_argument("--degrees", action="store_true",
-                   help="interpret --phi in degrees")
-    _add_common(p, gate_default="ppbs")
-    p.set_defaults(fn=cmd_protocol, format="json")
-
-    p = sub.add_parser("gain-sweep", help="output size vs input size")
-    p.add_argument("--gains", default=DEFAULT_SWEEP_GAINS,
-                   help="nominal intensity gains, grid or comma list "
-                        "(default %(default)s)")
-    p.add_argument("--inputs", default=DEFAULT_SWEEP_INPUTS,
-                   help="input sizes |alpha|^2 (default %(default)s)")
-    _add_detection(p)
-    _add_common(p, gate_default="ppbs")
-    p.set_defaults(fn=cmd_gain_sweep)
-
-    p = sub.add_parser("gain-vs-phi", help="output size vs meter phase")
-    p.add_argument("--inputs", default=DEFAULT_PHI_INPUTS,
-                   help="input sizes |alpha|^2 (default %(default)s)")
-    p.add_argument("--phis", default=DEFAULT_PHI_GRID,
-                   help="meter phase grid (default %(default)s)")
-    p.add_argument("--degrees", action="store_true",
-                   help="interpret --phis in degrees")
-    _add_detection(p)
-    _add_common(p, gate_default="ppbs")
-    p.set_defaults(fn=cmd_gain_vs_phi)
-
-    p = sub.add_parser("visibility", help="fringe visibility scans")
-    p.add_argument("--gains", default=DEFAULT_VIS_GAINS,
-                   help="nominal intensity gains (default %(default)s)")
-    p.add_argument("--alpha", type=float, default=0.0015,
-                   help="input amplitude magnitude (default %(default)s)")
-    p.add_argument("--points", type=int, default=16,
-                   help="analysis phases per scan (default %(default)s)")
-    p.add_argument("--bias", type=float, default=None,
-                   help="H:V input intensity ratio (default: the nominal "
-                        "gain, which pre-compensates the amplification)")
-    _add_counting(p)
-    _add_common(p, gate_default="ideal")
-    p.set_defaults(fn=cmd_visibility)
-
-    return parser, sub
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if any(o.exclusive for o in command.opts):
+            grp = p.add_mutually_exclusive_group()
+        for o in command.opts:
+            add = grp.add_argument if o.exclusive else p.add_argument
+            if o.type is bool:
+                add(o.flag, action="store_true", help=o.help)
+            else:
+                add(o.flag, type=o.type, default=o.default, choices=o.choices,
+                    help=o.help)
+        p.set_defaults(fn=command.fn)
+    return parser
 
 
-# every call without --config parses with this one tree, never mutated
+# every call parses with this one tree, never mutated
 _shared_parser = lru_cache(maxsize=1)(build_parser)
 
+# a separate value may start with '-' only as a number that argparse reads
+# as one in every version since 3.10 (3.13 reads more forms)
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
-def _walk(sp: argparse.ArgumentParser, command: str,
-          args: list[str]) -> Optional[argparse.Namespace]:
-    """The namespace the full tree gives [command, *args], read in one walk
-    over the subcommand parser's action table; None where argparse might
-    read args otherwise.
 
-    It reads exact option strings of store actions, as `--opt value` or
-    `--opt=value`, and of store_true actions.  A separate value may start
-    with '-' only as a negative number.  Each value goes through the
-    action's type and choices, and the last of a repeated option wins.  At
-    most one action of each mutually exclusive group may be given, and no
-    required action left out.  Defaults go in argparse's order: the
-    actions', then the parser's set_defaults.
+def _walk(command: str, args: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace parse_args gives [command, *args], read in one walk
+    against the command's table; None where argparse might read args
+    otherwise.
+
+    It reads exact flags, as `--opt value` or `--opt=value` (a bare flag
+    alone), each value through its option's type and choices, the last of
+    a repeated option, and at most one option of the exclusive group.
     """
-    table = sp._option_string_actions
-    seen = {}
+    flags = _FLAGS[command]
+    values = dict(_DEFAULTS[command])
+    exclusive = set()
     tokens = iter(args)
     for token in tokens:
-        act, value = table.get(token), None
-        if act is None:
-            opt, eq, value = token.partition("=")
-            act = table.get(opt) if eq else None
+        opt, value = flags.get(token), None
+        if opt is None:
+            flag, eq, value = token.partition("=")
+            opt = flags.get(flag) if eq else None
             # before 3.13 argparse reads a '--' value as an empty list
-            if act is None or value == "--":
+            if opt is None or value == "--":
                 return None
-        if type(act) is argparse._StoreTrueAction and value is None:
-            seen[act] = act.const
-            continue
-        if type(act) is not argparse._StoreAction or act.nargs is not None:
-            return None
-        if value is None:
-            value = next(tokens, None)
-            if value is None or value[:1] == "-" and not (
-                    sp._negative_number_matcher.match(value)
-                    and not sp._has_negative_number_optionals):
+        if opt.type is bool:
+            if value is not None:
                 return None
-        if act.type is not None:
-            try:
-                value = act.type(value)
-            except (TypeError, ValueError, argparse.ArgumentTypeError):
+            value = True
+        else:
+            if value is None:
+                value = next(tokens, None)
+                if value is None or value[:1] == "-" and not \
+                        _NEGATIVE_NUMBER.fullmatch(value):
+                    return None
+            if opt.type is not None:
+                try:
+                    value = opt.type(value)
+                except ValueError:
+                    return None
+            if opt.choices is not None and value not in opt.choices:
                 return None
-        if act.choices is not None and value not in act.choices:
-            return None
-        seen[act] = value
-    for grp in sp._mutually_exclusive_groups:
-        given = sum(a in seen for a in grp._group_actions)
-        if given > 1 or grp.required and not given:
-            return None
-    values = {}
-    for act in sp._actions:
-        # argparse converts a string default of a typed action left out
-        if act not in seen and (act.required or act.type is not None
-                                and isinstance(act.default, str)):
-            return None
-        if act.dest is not argparse.SUPPRESS and act.default is not argparse.SUPPRESS:
-            values.setdefault(act.dest, act.default)
-    for dest, value in sp._defaults.items():
-        values.setdefault(dest, value)
-    for act, value in seen.items():
-        values[act.dest] = value
-    ns = argparse.Namespace(command=command)
-    vars(ns).update(values)
-    return ns
+        if opt.exclusive:
+            exclusive.add(opt.flag)
+        values[opt.dest] = value
+    if len(exclusive) > 1:
+        return None
+    return argparse.Namespace(command=command, **values)
 
 
-def _parse_tree(parser: argparse.ArgumentParser,
-                sub: argparse._SubParsersAction,
-                args: list[str]) -> argparse.Namespace:
-    """parser.parse_args(args), in one walk over the subcommand parser's
-    action table (see _walk) when args[0] names a subcommand.
+def _parse_tree(args: list[str]) -> argparse.Namespace:
+    """parse_args(args) of the shared tree, read by _walk when it can.
 
-    Everything the walk declines goes through the full tree: no args, an
-    unknown command, help, an abbreviated option, '--', a stray string, a
-    value that fails its type or choices, a missing value, a conflict.
-    There argparse either parses it or writes its own usage and error text.
+    Everything else goes through the tree (an unknown command, help, an
+    abbreviation, '--', a stray or missing value, a bad type or choice, a
+    conflict), which parses it or writes argparse's usage and error text.
     """
-    sp = sub.choices.get(args[0]) if args else None
-    ns = _walk(sp, args[0], args[1:]) if sp is not None else None
+    ns = _walk(args[0], args[1:]) if args and args[0] in COMMANDS else None
     if ns is None:
-        ns = parser.parse_args(args)
+        ns = _shared_parser().parse_args(args)
         # before 3.13 argparse reads `--opt=--` as an empty list, unchecked
         if empty := [k for k, v in vars(ns).items() if isinstance(v, list)]:
             raise ConfigError(f"--{empty[0].replace('_', '-')} has no value")
@@ -575,43 +581,44 @@ def _parse_tree(parser: argparse.ArgumentParser,
 def _parse(args: list[str]) -> argparse.Namespace:
     """Namespace of the command line, over --config values when given.
 
-    Each config value becomes `--opt=value` (true the bare flag; null, and
-    false for a flag, are skipped) ahead of the command line's options, and
-    all of it goes once more through the same tree, so argparse checks the
-    file's values as it does flags and the later, explicit flags override
-    them.  A command-line flag of a mutually exclusive group drops the
-    config's values for that group.  Keys of no option, non-string values of
-    string options and false for an option that takes a value are a
-    ConfigError.
-    """
-    ns = _parse_tree(*_shared_parser(), args)
+    Each config value (null, and false for a flag, skipped) becomes
+    `--opt=value`, or the bare flag for true, and meets its option's type,
+    choices and domain as that flag alone would; a failure names the file
+    and the key.  The flags go ahead of the command line's, which override
+    them, and a command-line option of the exclusive group drops the
+    config's values for that group."""
+    ns = _parse_tree(args)
     if not ns.config:
         return ns
-    cfg = _load_config(ns.config)
+    path = ns.config
+    cfg = _load_config(path)
     if (cmd := cfg.pop("command", None)) not in (None, ns.command):
-        raise ConfigError(f"config is for command {cmd!r}, not {ns.command!r}")
-    parser, sub = _shared_parser()
-    sp = sub.choices[ns.command]
-    for grp in sp._mutually_exclusive_groups:
-        dests = {a.dest for a in grp._group_actions}
-        if any(getattr(ns, d) is not None for d in dests):
-            cfg = {k: v for k, v in cfg.items() if k not in dests}
-    # help leaves no attribute, so a config cannot ask for it
-    actions = {a.dest: a for a in sp._actions if hasattr(ns, a.dest)}
-    flags = []
+        raise ConfigError(f"config {path} is for command {cmd!r}, "
+                          f"not {ns.command!r}")
+    opts = {o.dest: o for o in COMMANDS[ns.command].opts}
+    group_given = any(o.exclusive and getattr(ns, o.dest) is not None
+                      for o in opts.values())
+    flags, values = [], {}
     for key, value in cfg.items():
-        act = actions.get(key)
-        if key in CONFIG_EXCLUDE or act is not None and (
-                value is None or value is False and act.nargs == 0):
+        opt = opts.get(key)
+        if key in CONFIG_EXCLUDE or opt is not None and (
+                value is None or value is False and opt.type is bool
+                or group_given and opt.exclusive):
             continue
-        if act is None or not (isinstance(value, (str, bool)) or act.type):
-            raise ConfigError(f"config {key}={value!r} is no value of a "
-                              f"{ns.command} option")
-        opt = act.option_strings[-1]
-        if value is False:
-            raise ConfigError(f"config {key}=false is no value of {opt}")
-        flags.append(opt if value is True else f"{opt}={value}")
-    return _parse_tree(parser, sub, [*args[:1], *flags, *args[1:]])
+        if opt is None:
+            raise ConfigError(f"config {path}: {key} is no {ns.command} option")
+        flag = opt.flag if value is True and opt.type is bool else f"{opt.flag}={value}"
+        read = _walk(ns.command, [flag]) \
+            if isinstance(value, str) or opt.type is not None else None
+        if read is None:
+            raise ConfigError(f"config {path}: {key} {json.dumps(value)} is no "
+                              f"value of {opt.flag}")
+        flags.append(flag)
+        values[key] = getattr(read, key)
+    if len(both := [k for k in values if opts[k].exclusive]) > 1:
+        raise ConfigError(f"config {path}: {' and '.join(both)} exclude each other")
+    check_values(ns.command, values, path)
+    return _parse_tree([*args[:1], *flags, *args[1:]])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -621,21 +628,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ns = _parse(args)
         except SystemExit as exc:
             return int(exc.code or 0)
-        for key, value in sorted(vars(ns).items()):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"--{key.replace('_', '-')} {value} is not finite")
-        if ns.cap < 2:
-            raise ConfigError(
-                f"--cap {ns.cap} must be at least 2, the photons the gate acts on"
-            )
+        check_values(ns.command, vars(ns))
         return ns.fn(ns)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except TruncationError as exc:
         print(f"error: {exc}; raise --cap", file=sys.stderr)
         return 2
-    except (ValueError, BasisSizeError) as exc:
+    except (ConfigError, ValueError, BasisSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InfiniteGainError, NumericalFailure, ZeroDivisionError,

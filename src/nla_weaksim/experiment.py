@@ -145,12 +145,6 @@ def measure_input_size(
     return _defined(protocol._through_gate(basis, k_hh, sig_state.weights()))
 
 
-def true_input_size(signal: SignalSpec, *,
-                    photon_cap: int = protocol.DEFAULT_PHOTON_CAP) -> float:
-    sig_state, _ = protocol.prepare_signal(signal, photon_cap)
-    return state_size(sig_state, DEFAULT_LAYOUT.signal_v)
-
-
 def simulate_counts(
     probabilities: Sequence[float],
     counting: CountingModel,

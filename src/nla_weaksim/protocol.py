@@ -230,7 +230,7 @@ def _coherent_ladder(alpha: complex, cap: int) -> tuple[np.ndarray, float]:
 def _poisson_tail(mean: float, cap: int, kind: str) -> float:
     """Poisson weight beyond the cap of a signal of the named kind; a
     TruncationError if it exceeds TRUNCATION_BOUND, and a ValueError for a
-    mean above _POISSON_MEAN_LIMIT.
+    NaN mean or one above _POISSON_MEAN_LIMIT.
 
     One minus the weight up to the cap is exact only to about 1e-16, so
     where that weight is at least a half the tail is summed term by term
@@ -238,6 +238,9 @@ def _poisson_tail(mean: float, cap: int, kind: str) -> float:
     recursion from e^{-mean}, which loses precision above mean 708 and is 0
     above about 745, where it would read a tail of 1.
     """
+    # a NaN would keep the term-by-term sum below from ever settling
+    if math.isnan(mean):
+        raise ValueError(f"{kind} mean photon number {mean} is not finite")
     if mean > _POISSON_MEAN_LIMIT:
         raise ValueError(
             f"{kind} mean photon number {mean:.6g} is above the limit "

@@ -7,8 +7,9 @@ last section holds the loop-based routes that only tests need: splitters and
 waveplates as mode transforms, the dense density matrix of a state, partial
 traces, a density-matrix check, loss as an explicit Kraus sum (and a lossy
 signal built with it), the pair-loop tensor product of pure states, and the
-pair products of two ladders formed from their float parts.  Density
-matrices here are plain arrays over a basis.
+pair products of two ladders formed from their float parts, and the true
+input size of a signal spec.  Density matrices here are plain arrays over a
+basis.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ from nla_weaksim.elements import (
     ppbs,
     vacuum_restriction,
 )
+from nla_weaksim.experiment import state_size
 from nla_weaksim.fock import (
     FockBasis,
     ModeTransform,
     State,
     build_basis,
 )
+from nla_weaksim.protocol import DEFAULT_PHOTON_CAP, prepare_signal
 
 
 def expand_transform(matrix, occ_in):
@@ -489,3 +492,9 @@ def pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     out.imag = hr * v.imag + hi * v.real
     out[(h == 0)[:, None] | (v == 0)] = 0
     return out
+
+
+def true_input_size(signal, *, photon_cap=DEFAULT_PHOTON_CAP):
+    """Signal V odds P(1)/P(0) of the signal as prepared, before the gate."""
+    state, _ = prepare_signal(signal, photon_cap)
+    return state_size(state, DEFAULT_LAYOUT.signal_v)

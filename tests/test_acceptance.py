@@ -21,7 +21,6 @@ from nla_weaksim.experiment import (
     gain_vs_phi,
     measure_input_size,
     state_size,
-    true_input_size,
     visibility_experiment,
 )
 from nla_weaksim.fock import ModeTransform, build_basis, lift_mode_transform
@@ -91,7 +90,7 @@ def test_c02_measured_gain_follows_cotangent_law():
 def test_c03_output_scaling_against_true_input():
     a2 = 1e-6
     spec = SignalSpec("coherent", math.sqrt(a2))
-    true_in = true_input_size(spec)
+    true_in = oracles.true_input_size(spec)
     for phi in PHI_GRID:
         out = run_nla(spec, MeterSetting(phi), "ppbs")
         ratio = state_size(out.conditional_state, DEFAULT_LAYOUT.signal_v) \
@@ -117,7 +116,7 @@ def test_c04_herald_probability_closed_form():
 def test_c05_through_gate_reference_scaling():
     for a2 in (1e-5, 1e-4, 1e-3):
         spec = SignalSpec("coherent", math.sqrt(a2))
-        true_in = true_input_size(spec)
+        true_in = oracles.true_input_size(spec)
         assert true_in <= 1e-3 * 1.001
         assert measure_input_size(spec, "ppbs") == pytest.approx(
             true_in / 3.0, rel=1e-6

@@ -8,8 +8,10 @@ import io
 import itertools
 import json
 import math
+import re
 import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -354,8 +356,9 @@ def test_bad_config_values_exit_two(command, config, tmp_path, capsys):
     assert main([command, "--config", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: " in captured.err
-    assert "show this help message" not in captured.err
+    # one line that names the file, never argparse's usage
+    assert captured.err.startswith(f"error: config {path}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_config_parses_with_the_one_shared_tree(tmp_path, monkeypatch):
@@ -440,8 +443,8 @@ def test_unknown_command_exits_two():
     assert main([]) == 2
 
 
-def _full_tree(parser, sub, args):
-    return parser.parse_args(args)
+def _full_tree(args):
+    return cli._shared_parser().parse_args(args)
 
 
 @pytest.mark.parametrize("args", [
@@ -491,9 +494,9 @@ def test_a_readme_protocol_line_parses_without_argparse(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["kind"] == "protocol"
 
 
-_PARSER, _SUB = cli.build_parser()
-_CHOICES = sorted({str(c) for sp in _SUB.choices.values() for a in sp._actions
-                   for c in a.choices or ()})
+_PARSER = cli.build_parser()
+_CHOICES = sorted({c for command in cli.COMMANDS.values() for o in command.opts
+                   for c in o.choices or ()})
 _VALUES = st.one_of(
     st.sampled_from(["", "-", "--", "-h", "--help", "stray", "x y", "-x",
                      "nan", "-nan", "inf", "-inf", "-.5", "1_0", "4.5", "=",
@@ -506,8 +509,9 @@ _VALUES = st.one_of(
 
 @st.composite
 def _argv(draw):
-    command = draw(st.sampled_from(sorted(_SUB.choices)))
-    option = st.sampled_from(sorted(_SUB.choices[command]._option_string_actions))
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    option = st.sampled_from(sorted(
+        ["-h", "--help", *(o.flag for o in cli.COMMANDS[command].opts)]))
     token = st.one_of(
         st.tuples(option),
         st.tuples(option, _VALUES),
@@ -533,7 +537,7 @@ def _entries(ns):
 def test_the_walk_reads_argv_as_argparse_does(argv):
     # argparse is the oracle: the walk accepts nothing it rejects, and its
     # namespace holds argparse's entries, in argparse's order
-    ns = cli._walk(_SUB.choices[argv[0]], argv[0], argv[1:])
+    ns = cli._walk(argv[0], argv[1:])
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -672,11 +676,8 @@ def test_vacuum_input_exits_two(args, capsys):
 def _value_options():
     """(command, option) for every option of every subcommand that takes a
     value."""
-    _, sub = cli.build_parser()
-    return [(command, opt)
-            for command, sp in sorted(sub.choices.items())
-            for act in sp._actions if act.option_strings and act.nargs is None
-            for opt in act.option_strings]
+    return [(command, o.flag) for command, c in sorted(cli.COMMANDS.items())
+            for o in c.opts if o.type is not bool]
 
 
 @pytest.mark.parametrize("command, opt", _value_options())
@@ -746,3 +747,91 @@ def test_visibility_at_cap_30_builds_no_joint_gate(capsys):
     assert main(["visibility", "--gains", "2", "--cap", "30"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("nominal_g2,") and out.count("\n") == 2
+
+
+def test_cli_reads_no_private_argparse_name():
+    # the walk and the config merge read the option table, not argparse's
+    # internals, which change between Python versions
+    text = Path(cli.__file__).read_text(encoding="utf-8")
+    for name in ("_option_string_actions", "_StoreAction", "_StoreTrueAction",
+                 "_negative_number_matcher", "_has_negative_number_optionals",
+                 "_mutually_exclusive_groups", "_group_actions", "_actions",
+                 "_defaults"):
+        # as a name of its own: set_defaults is public
+        assert not re.search(rf"(?<!\w){name}(?!\w)", text), name
+
+
+# values out of each option's domain: its test, a non-finite float, a
+# choice not offered, a grid that does not parse, a bare flag's value
+_OUT_OF_DOMAIN = {
+    "--phi": ["nan"],
+    "--gain": ["-1", "nan"],
+    "--alpha2": ["-1", "inf"],
+    "--signal": ["--"],
+    "--loss": ["1.5", "-0.5"],
+    "--degrees": ["yes"],
+    "--gate": ["--"],
+    "--cap": ["1", "0"],
+    "--format": ["--"],
+    "--gains": ["-1", "0.5", "--"],
+    "--inputs": ["0", "-1e-5", "--"],
+    "--phis": ["1:2", "--"],
+    "--epsilon": ["-1", "1.5", "nan"],
+    "--shots": ["-1"],
+    "--seed": ["-1"],
+    "--rate-scale": ["0", "-1", "nan"],
+    "--convention": ["--"],
+    "--alpha": ["0", "-1", "nan"],
+    "--points": ["3", "-1"],
+    "--bias": ["-1", "nan"],
+}
+
+
+def _out_of_domain_cases():
+    cases = []
+    for command, c in sorted(cli.COMMANDS.items()):
+        for opt in c.opts:
+            for value in _OUT_OF_DOMAIN.get(opt.flag, ()):
+                # a visibility gain of 0.5 is in a sweep's domain
+                if (command, opt.flag, value) != ("gain-sweep", "--gains", "0.5"):
+                    cases.append((command, opt, value))
+    return cases
+
+
+def test_every_option_with_a_domain_has_out_of_domain_values():
+    with_domain = {o.flag for c in cli.COMMANDS.values() for o in c.opts
+                   if o.test or o.type in (float, bool) or o.choices}
+    assert with_domain == set(_OUT_OF_DOMAIN)
+
+
+def _config_value(opt, value):
+    # a number option's value as a JSON number, NaN and Infinity included
+    return value if opt.type in (None, bool) else opt.type(value)
+
+
+@pytest.mark.parametrize(
+    "command, opt, value", _out_of_domain_cases(),
+    ids=lambda v: v.flag if isinstance(v, cli.Opt) else v)
+def test_out_of_domain_values_name_the_flag_or_the_config_key(
+        command, opt, value, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTDIR_ENV, raising=False)
+    base = {"gain": 3} if command == "protocol" and opt.dest not in (
+        "phi", "gain") else {}
+    assert main([command, *(f"--{k}={v}" for k, v in base.items()),
+                 f"{opt.flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    line = next(line for line in captured.err.splitlines() if "error:" in line)
+    assert opt.flag in line
+    # the same value from a config file names the file and the key
+    config = {"command": command, **base, opt.dest: _config_value(opt, value)}
+    Path("cfg.json").write_text(json.dumps(config))
+    assert main([command, "--config", "cfg.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith((f"error: config cfg.json: {opt.dest} ",
+                                    f"error: config cfg.json: {opt.dest}: "))
+    assert captured.err.count("\n") == 1
+

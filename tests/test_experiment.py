@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from nla_weaksim import experiment, protocol
 from nla_weaksim.elements import DEFAULT_LAYOUT
 from nla_weaksim.experiment import (
@@ -19,7 +20,6 @@ from nla_weaksim.experiment import (
     measure_input_size,
     simulate_counts,
     state_size,
-    true_input_size,
     visibility_experiment,
 )
 from nla_weaksim.fock import State, build_basis
@@ -38,7 +38,7 @@ def test_state_size_is_vacuum_relative_odds():
 
 def test_through_gate_measurement_scales_by_transmission():
     spec = SignalSpec("coherent", 0.01)
-    true = true_input_size(spec)
+    true = oracles.true_input_size(spec)
     assert true == pytest.approx(1e-4, rel=1e-12)
     assert measure_input_size(spec, "ppbs") == pytest.approx(true / 3, rel=1e-12)
     assert measure_input_size(spec, "ideal") == pytest.approx(true, rel=1e-12)
@@ -212,13 +212,12 @@ def test_sweep_rows_carry_their_runs_input_sizes(monkeypatch, sweep, points):
         raise AssertionError("a sweep sizes its inputs through its runs")
 
     monkeypatch.setattr(protocol, "run_nla", counted)
-    monkeypatch.setattr(experiment, "true_input_size", unused)
     monkeypatch.setattr(experiment, "measure_input_size", unused)
     res = sweep()
     assert len(runs) == len(res.rows) == points
     ci = {c: i for i, c in enumerate(res.columns)}
     for spec, row in zip(runs, res.rows):
-        assert row[ci["input_true"]] == true_input_size(spec)
+        assert row[ci["input_true"]] == oracles.true_input_size(spec)
         assert row[ci["input_measured"]] == measure_input_size(spec)
         assert row[ci["input_measured"]] == pytest.approx(
             row[ci["input_true"]] / 3, rel=1e-10)

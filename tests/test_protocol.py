@@ -3,7 +3,11 @@
 import cmath
 import functools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,7 +404,7 @@ def test_run_reports_both_input_sizes_of_its_signal(kind, gate, loss, cap):
         assert out.size_in_measured == pytest.approx(
             _odds_of_weights(state.basis, np.abs(k_hh) ** 2 * diag),
             rel=1e-12, abs=0.0)
-        assert out.size_in_true == experiment.true_input_size(
+        assert out.size_in_true == oracles.true_input_size(
             spec, photon_cap=cap)
         assert out.size_in_measured == experiment.measure_input_size(
             spec, gate, photon_cap=cap)
@@ -968,3 +972,24 @@ def test_poisson_tail_at_large_means():
             protocol._poisson_tail(900.0, 1500, kind)
     with pytest.raises(ValueError, match="above the limit 700"):
         phase_averaged_state(30.0, 600)
+
+
+@pytest.mark.parametrize("call", [
+    "protocol.two_mode_coherent(complex('nan'), 0.0, 3)",
+    "protocol.phase_averaged_state(float('nan'), 3)",
+    "experiment.visibility_experiment([2.0], input_mag=float('nan'), "
+    "phase_points=8)",
+])
+def test_a_nan_mean_raises_instead_of_hanging(call):
+    # a NaN mean never settles the Poisson tail's term-by-term sum, so the
+    # call runs in a subprocess whose timeout fails the test if it hangs
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("from nla_weaksim import experiment, protocol\n"
+            f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("mean photon number nan is not finite\n")

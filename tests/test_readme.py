@@ -1,5 +1,6 @@
 """The README's library example and command lines run as written."""
 
+import json
 import os
 import re
 import shlex
@@ -44,3 +45,30 @@ def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
 def test_readme_lists_every_subcommand():
     commands = {shlex.split(line)[1] for line in _readme_commands()}
     assert commands == {"protocol", "gain-sweep", "gain-vs-phi", "visibility"}
+
+
+def _nullable_columns():
+    """The columns the README lists as NaN in an exit-0 output."""
+    section = (ROOT / "README.md").read_text().split(
+        "Columns that may be NaN", 1)[1].split("\n\n", 2)[1]
+    heads = [item.split(":", 1)[0] for item in section.split("\n- ")]
+    return {name for head in heads for name in re.findall(r"`(\w+)`", head)}
+
+
+def test_readme_lists_the_nullable_columns():
+    assert _nullable_columns() == {
+        "gain_sampled", "gain_error", "output_sampled",
+        "amplitude_gain_re", "amplitude_gain_im", "uncertainty"}
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_line_prints_nan_only_where_listed(line, tmp_path,
+                                                          monkeypatch):
+    # the same run as JSON, where a NaN is written as null
+    monkeypatch.setenv(cli.OUTDIR_ENV, str(tmp_path))
+    argv = shlex.split(line)[1:] + ["--format", "json", "--output", "run.json"]
+    assert cli.main(argv) == 0
+    doc = json.loads((tmp_path / "run.json").read_text())
+    nulls = {column for row in doc["rows"]
+             for column, value in zip(doc["columns"], row) if value is None}
+    assert nulls <= _nullable_columns()
