@@ -116,8 +116,6 @@ def parse_grid(spec: str) -> list[float]:
 def _counting(ns: argparse.Namespace) -> Optional[CountingModel]:
     if ns.shots == 0:
         return None
-    if ns.seed is None:
-        raise ConfigError("--seed is required when --shots > 0")
     return CountingModel(shots=ns.shots, seed=ns.seed, rate_scale=ns.rate_scale)
 
 
@@ -579,46 +577,51 @@ def _parse_tree(args: list[str]) -> argparse.Namespace:
 
 
 def _parse(args: list[str]) -> argparse.Namespace:
-    """Namespace of the command line, over --config values when given.
+    """Namespace of the command line, over --config values when given,
+    each value in its option's domain, and a seed for shots above 0.
 
     Each config value (null, and false for a flag, skipped) becomes
     `--opt=value`, or the bare flag for true, and meets its option's type,
     choices and domain as that flag alone would; a failure names the file
-    and the key.  The flags go ahead of the command line's, which override
-    them, and a command-line option of the exclusive group drops the
-    config's values for that group."""
-    ns = _parse_tree(args)
-    if not ns.config:
-        return ns
-    path = ns.config
-    cfg = _load_config(path)
-    if (cmd := cfg.pop("command", None)) not in (None, ns.command):
-        raise ConfigError(f"config {path} is for command {cmd!r}, "
-                          f"not {ns.command!r}")
-    opts = {o.dest: o for o in COMMANDS[ns.command].opts}
-    group_given = any(o.exclusive and getattr(ns, o.dest) is not None
-                      for o in opts.values())
-    flags, values = [], {}
-    for key, value in cfg.items():
-        opt = opts.get(key)
-        if key in CONFIG_EXCLUDE or opt is not None and (
-                value is None or value is False and opt.type is bool
-                or group_given and opt.exclusive):
-            continue
-        if opt is None:
-            raise ConfigError(f"config {path}: {key} is no {ns.command} option")
-        flag = opt.flag if value is True and opt.type is bool else f"{opt.flag}={value}"
-        read = _walk(ns.command, [flag]) \
-            if isinstance(value, str) or opt.type is not None else None
-        if read is None:
-            raise ConfigError(f"config {path}: {key} {json.dumps(value)} is no "
-                              f"value of {opt.flag}")
-        flags.append(flag)
-        values[key] = getattr(read, key)
-    if len(both := [k for k in values if opts[k].exclusive]) > 1:
-        raise ConfigError(f"config {path}: {' and '.join(both)} exclude each other")
-    check_values(ns.command, values, path)
-    return _parse_tree([*args[:1], *flags, *args[1:]])
+    and the key, as does shots from the config without a seed.  The flags
+    go ahead of the command line's, which override them, and a
+    command-line option of the exclusive group drops the config's values
+    for that group."""
+    ns = merged = _parse_tree(args)
+    if path := ns.config:
+        cfg = _load_config(path)
+        if (cmd := cfg.pop("command", None)) not in (None, ns.command):
+            raise ConfigError(f"config {path} is for command {cmd!r}, "
+                              f"not {ns.command!r}")
+        opts = {o.dest: o for o in COMMANDS[ns.command].opts}
+        group_given = any(o.exclusive and getattr(ns, o.dest) is not None
+                          for o in opts.values())
+        flags, values = [], {}
+        for key, value in cfg.items():
+            opt = opts.get(key)
+            if key in CONFIG_EXCLUDE or opt is not None and (
+                    value is None or value is False and opt.type is bool
+                    or group_given and opt.exclusive):
+                continue
+            if opt is None:
+                raise ConfigError(f"config {path}: {key} is no {ns.command} option")
+            flag = opt.flag if value is True and opt.type is bool else f"{opt.flag}={value}"
+            read = _walk(ns.command, [flag]) \
+                if isinstance(value, str) or opt.type is not None else None
+            if read is None:
+                raise ConfigError(f"config {path}: {key} {json.dumps(value)} is no "
+                                  f"value of {opt.flag}")
+            flags.append(flag)
+            values[key] = getattr(read, key)
+        if len(both := [k for k in values if opts[k].exclusive]) > 1:
+            raise ConfigError(f"config {path}: {' and '.join(both)} exclude each other")
+        check_values(ns.command, values, path)
+        merged = _parse_tree([*args[:1], *flags, *args[1:]])
+    check_values(merged.command, vars(merged))
+    if getattr(merged, "shots", 0) and merged.seed is None:
+        raise ConfigError("--seed is required when --shots > 0" if ns.shots
+                          else f"config {path}: shots {merged.shots} needs a seed")
+    return merged
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -628,7 +631,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             ns = _parse(args)
         except SystemExit as exc:
             return int(exc.code or 0)
-        check_values(ns.command, vars(ns))
         return ns.fn(ns)
     except TruncationError as exc:
         print(f"error: {exc}; raise --cap", file=sys.stderr)

@@ -139,8 +139,10 @@ def measure_input_size(
     one).  A run reports the same size (ProtocolOutcome.size_in_measured).
     The size does not depend on the layout: it changes nothing, and is
     accepted only because the benchmark's cold-gate workload passes one.
+    The signal faces TRUNCATION_BOUND as a run's does.
     """
-    sig_state, _ = protocol.prepare_signal(signal, photon_cap)
+    sig_state, beyond = protocol.prepare_signal(signal, photon_cap)
+    protocol._truncation_weight(signal.kind, sig_state, beyond)
     basis, k_hh, _ = protocol.herald_operators(gate, photon_cap)
     return _defined(protocol._through_gate(basis, k_hh, sig_state.weights()))
 

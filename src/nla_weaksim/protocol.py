@@ -18,12 +18,15 @@ Every state is a pure part plus an incoherent diagonal,
 rho = |psi><psi| + diag(p) (fock.State).  A signal of a SignalSpec is one
 photon-number ladder of signal V written to the n_H = 0 column, which is
 the first cap + 1 basis states: a coherent ladder as psi, Poisson weights as
-p, or the two levels of the two-level signal.  Loss L attenuates the
-amplitude to sqrt(1-L) alpha before the ladder is cut, so lossy coherent
-and phase-averaged signals keep their family; the lossy two-level signal
-keeps its lost weight as a population on the vacuum.  Only the biased
-two-mode input (two_mode_coherent) gathers the products h[n_H] v[n_V] of
-two ladders.
+p, or the two levels of the two-level signal.  A ladder is one recursion
+from its first term, a_n = a_{n-1} alpha / sqrt(n) or w_n = w_{n-1} mean / n,
+and the one pass of the weights also gives the weight beyond the cap.  Loss
+L attenuates the amplitude to sqrt(1-L) alpha before the ladder is cut, so
+lossy coherent and phase-averaged signals keep their family; the lossy
+two-level signal keeps its lost weight as a population on the vacuum.  Only
+the biased two-mode input (two_mode_coherent) takes the products
+h[n_H] v[n_V] of two ladders, as one array product.  A signal's truncation
+weight is its weight beyond plus at the cap (_truncation_weight).
 
 The herald of a gate U keeps one meter photon, in a (a in H, V), and reads
 two diagonals on the signal basis, K_a = <a| U |a> for each signal
@@ -46,7 +49,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Literal, Union
+from typing import Literal, Union
 
 import numpy as np
 
@@ -74,11 +77,11 @@ GATE_TRANSMISSION = 1.0 / 3.0
 
 DEFAULT_PHOTON_CAP = 3
 
-# largest Poisson weight a signal may lose beyond the cap
+# largest truncation weight of a signal (see _truncation_weight)
 TRUNCATION_BOUND = 1e-3
 
 # largest Poisson mean of a signal: e^{-700} still has a float's full
-# precision (see _poisson_tail)
+# precision (see _poisson)
 _POISSON_MEAN_LIMIT = 700.0
 
 # herald probabilities below this are treated as an impossible outcome
@@ -157,9 +160,9 @@ class AnalyticPrediction:
     g: complex  # amplitude gain of the ideal gate
     g2: float  # |g|^2 = cot^2(phi/2)
     g2_nondet: float  # postselected-gate intensity gain, g2 / 3
-    p_success: float  # herald probability of the postselected gate
+    p_success: float  # herald probability of the gate
     norm_in: float  # exp(-|alpha|^2 / 2)
-    norm_out: float  # exp(-|g' alpha|^2 / 2)
+    norm_out: float  # exp(-t |g alpha|^2 / 2), t of the gate (see analytic)
 
 
 @dataclass(frozen=True)
@@ -184,25 +187,6 @@ class ProtocolOutcome:
     amplitude_gain: complex | None = None
 
 
-def _ladder(
-    cap: int,
-    closed: Callable[[int], complex],
-    recur: Callable[[complex, int], complex],
-) -> list[complex]:
-    """Terms closed(n) for n = 0..cap, continued by recur(term n - 1, n)
-    from the first n whose closed form overflows a float: its power, or
-    n! past 170."""
-    terms = []
-    for n in range(cap + 1):
-        try:
-            terms.append(closed(n))
-        except OverflowError:
-            break
-    for n in range(len(terms), cap + 1):
-        terms.append(recur(terms[-1], n))
-    return terms
-
-
 @lru_cache(maxsize=None)
 def _signal_basis(photon_cap: int) -> FockBasis:
     """The basis on the fixed signal modes at the cap, built, and checked
@@ -210,33 +194,16 @@ def _signal_basis(photon_cap: int) -> FockBasis:
     return build_basis(2, photon_cap)
 
 
-def _coherent_ladder(alpha: complex, cap: int) -> tuple[np.ndarray, float]:
-    """Amplitudes exp(-|a|^2/2) a^n / sqrt(n!) for n = 0..cap and the Poisson
-    weight beyond the cap (see _poisson_tail)."""
-    try:
-        mean = abs(alpha) ** 2
-    except OverflowError:
-        mean = math.inf  # far above the mean limit, which _poisson_tail names
-    tail = _poisson_tail(mean, cap, "coherent")
-    pref = math.exp(-mean / 2.0)
-    amps = np.array(_ladder(
-        cap,
-        lambda n: pref * alpha**n / math.sqrt(math.factorial(n)),
-        lambda prev, n: prev * alpha / math.sqrt(n),
-    ), dtype=complex)
-    return amps, tail
-
-
-def _poisson_tail(mean: float, cap: int, kind: str) -> float:
-    """Poisson weight beyond the cap of a signal of the named kind; a
-    TruncationError if it exceeds TRUNCATION_BOUND, and a ValueError for a
-    NaN mean or one above _POISSON_MEAN_LIMIT.
+def _poisson(mean: float, cap: int, kind: str) -> tuple[list[float], float]:
+    """Poisson weights w_n for n = 0..cap and the weight beyond the cap of a
+    signal of the named kind, from one recursion w_n = w_{n-1} mean / n
+    from w_0 = e^{-mean}; a ValueError for a NaN mean or one above
+    _POISSON_MEAN_LIMIT.
 
     One minus the weight up to the cap is exact only to about 1e-16, so
-    where that weight is at least a half the tail is summed term by term
-    from cap + 1 until a term no longer changes the sum.  The terms are a
-    recursion from e^{-mean}, which loses precision above mean 708 and is 0
-    above about 745, where it would read a tail of 1.
+    where that weight is at least a half the recursion runs on past the cap,
+    summing the tail until a term no longer changes it.  e^{-mean} loses
+    precision above mean 708 and is 0 above about 745, a tail of 1.
     """
     # a NaN would keep the term-by-term sum below from ever settling
     if math.isnan(mean):
@@ -246,46 +213,54 @@ def _poisson_tail(mean: float, cap: int, kind: str) -> float:
             f"{kind} mean photon number {mean:.6g} is above the limit "
             f"{_POISSON_MEAN_LIMIT:g}, where e^-mean nears underflow"
         )
-    term = math.exp(-mean)
-    head = term
+    term = head = math.exp(-mean)
+    weights = [term]
     for n in range(1, cap + 1):
         term *= mean / n
+        weights.append(term)
         head += term
     if head < 0.5:
-        tail = 1.0 - head
-    else:
-        tail = 0.0
-        n = cap + 1
+        return weights, 1.0 - head
+    tail = 0.0
+    n = cap + 1
+    term *= mean / n
+    while tail + term != tail:
+        tail += term
+        n += 1
         term *= mean / n
-        while tail + term != tail:
-            tail += term
-            n += 1
-            term *= mean / n
-    if tail > TRUNCATION_BOUND:
+    return weights, tail
+
+
+def _coherent_ladder(alpha: complex, cap: int) -> tuple[np.ndarray, float]:
+    """Coherent amplitudes a_n for n = 0..cap, one recursion
+    a_n = a_{n-1} alpha / sqrt(n) from a_0 = e^{-|alpha|^2/2}, and the
+    Poisson weight beyond the cap (see _poisson)."""
+    # a product overflows to inf, which _poisson names, where ** would raise
+    mean = abs(alpha) * abs(alpha)
+    _, beyond = _poisson(mean, cap, "coherent")
+    amp = math.exp(-mean / 2.0)
+    amps = [amp]
+    for n in range(1, cap + 1):
+        amp = amp * alpha / math.sqrt(n)
+        amps.append(amp)
+    return np.array(amps, dtype=complex), beyond
+
+
+def _weight_at_cap(state: State) -> float:
+    return float(state.weights()[state.basis.at_cap()].sum())
+
+
+def _truncation_weight(kind: str, state: State, beyond: float) -> float:
+    """The truncation weight of a signal of the named kind: its weight
+    beyond the cap plus its weight at the cap, which has no room for the
+    meter photon; a TruncationError if it exceeds TRUNCATION_BOUND."""
+    weight = beyond + _weight_at_cap(state)
+    if weight > TRUNCATION_BOUND:
         raise fock.TruncationError(
-            f"{kind} tail {tail:.3e} beyond cap {cap} exceeds bound "
-            f"{TRUNCATION_BOUND:.3e}"
+            f"{kind.replace('_', '-')} weight {weight:.3e} beyond and at cap "
+            f"{state.basis.photon_cap} exceeds bound {TRUNCATION_BOUND:.3e}"
         )
-    return tail
-
-
-def _poisson_weights(mean: float, cap: int) -> np.ndarray:
-    """Poisson weights e^{-mean} mean^n / n! for n = 0..cap."""
-    pref = math.exp(-mean)
-    return np.array(_ladder(
-        cap,
-        lambda n: pref * mean**n / math.factorial(n),
-        lambda prev, n: prev * mean / n,
-    ))
-
-
-def _pair_products(h: np.ndarray, v: np.ndarray) -> list[list[complex]]:
-    """The products h[i] v[j] as Python scalar complex products, row i
-    holding h[i]'s, +0 where a factor is 0.
-
-    The array product can differ from the scalar one in the last bit.
-    """
-    return [[x * y if x and y else 0j for y in v.tolist()] for x in h.tolist()]
+    return weight
 
 
 def two_mode_coherent(
@@ -295,40 +270,35 @@ def two_mode_coherent(
 ) -> tuple[State, float]:
     """Product of coherent states on the signal H and V modes.
 
-    Each amplitude is h[n_H] v[n_V], gathered from the two ladders by the
-    basis counts.  The returned weight is the two ladder tails plus the
-    product weight of the pairs (n_H, n_V) over the cap, added n_H-major;
-    with the state's weight at the cap it faces TRUNCATION_BOUND, as a
-    spec's does in run_nla.
+    Each amplitude is h[n_H] v[n_V], gathered by the basis counts from the
+    one array product of the two ladders.  The returned weight is the two
+    ladders' weight beyond the cap plus the product's over it; with the
+    weight at the cap it faces TRUNCATION_BOUND here, as a spec's does in
+    run_nla (see _truncation_weight).
     """
-    h, tail_h = _coherent_ladder(alpha_h, photon_cap)
-    v, tail_v = _coherent_ladder(alpha_v, photon_cap)
+    h, beyond_h = _coherent_ladder(alpha_h, photon_cap)
+    v, beyond_v = _coherent_ladder(alpha_v, photon_cap)
     basis = _signal_basis(photon_cap)
-    pairs = _pair_products(h, v)
-    amps = np.array(pairs)[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)]
-    dropped = 0.0
-    # scalar moduli: numpy's array hypot can differ from them in the last bit
-    for n_h, row in enumerate(pairs):
-        for p in row[photon_cap + 1 - n_h:]:
-            dropped += abs(p) ** 2
-    state, weight = State(basis, amps), tail_h + tail_v + dropped
-    _face_bound("coherent", weight + _weight_at_cap(state), photon_cap)
-    return state, weight
+    pairs = h[:, None] * v
+    n = np.arange(photon_cap + 1)
+    over = n[:, None] + n > photon_cap
+    state = State(basis, pairs[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)])
+    beyond = beyond_h + beyond_v + float(np.sum(np.abs(pairs[over]) ** 2))
+    _truncation_weight("coherent", state, beyond)
+    return state, beyond
 
 
 def phase_averaged_state(alpha: complex, photon_cap: int) -> tuple[State, float]:
-    """Diagonal mixture with the Poissonian weights e^{-|a|^2} |a|^{2n} / n!
-    as its populations on signal V (the n_H = 0 column), and no pure part.
-
-    Equal to averaging |a e^{i theta}> projectors over theta; the weight
-    beyond the cap is returned as the truncation tail (see _poisson_tail).
-    """
+    """Diagonal mixture with the Poisson weights of mean |alpha|^2 as its
+    populations on signal V (the n_H = 0 column), and no pure part, and the
+    weight beyond the cap, from one recursion (see _poisson).  Equal to
+    averaging |a e^{i theta}> projectors over theta; its truncation weight
+    adds its weight at the cap (see _truncation_weight)."""
     basis = _signal_basis(photon_cap)
-    mean = abs(alpha) ** 2
-    tail = _poisson_tail(mean, photon_cap, "phase-averaged")
     pops = np.zeros(basis.size)
-    pops[:photon_cap + 1] = _poisson_weights(mean, photon_cap)
-    return State(basis, np.zeros(basis.size, dtype=complex), pops), tail
+    pops[:photon_cap + 1], beyond = _poisson(abs(alpha) * abs(alpha),
+                                             photon_cap, "phase-averaged")
+    return State(basis, np.zeros(basis.size, dtype=complex), pops), beyond
 
 
 def ppbs_cz_circuit() -> list[ModeTransform]:
@@ -368,16 +338,20 @@ def gate_operator(
 
 
 def prepare_signal(spec: SignalSpec, photon_cap: int) -> tuple[State, float]:
-    """Signal state on the (H, V) signal modes per the spec, plus tail weight."""
+    """Signal state on the (H, V) signal modes per the spec, one ladder of
+    signal V from one recursion, plus its weight beyond the cap (none for
+    the two-level signal); its truncation weight adds its weight at the
+    cap, and run_nla holds that to TRUNCATION_BOUND (see _truncation_weight).
+    """
     if spec.kind == "phase_averaged":
         return phase_averaged_state(spec.alpha_at_gate, photon_cap)
     # (n_H, n_V) = (0, n) is basis state n for n <= cap
     basis = _signal_basis(photon_cap)
     psi = np.zeros(basis.size, dtype=complex)
     if spec.kind == "coherent":
-        psi[:photon_cap + 1], tail = _coherent_ladder(spec.alpha_at_gate,
-                                                      photon_cap)
-        return State(basis, psi), tail
+        psi[:photon_cap + 1], beyond = _coherent_ladder(spec.alpha_at_gate,
+                                                        photon_cap)
+        return State(basis, psi), beyond
     # N(|0> + alpha_at_gate |1>), and the weight L |N alpha|^2 that loss
     # takes from |1> on the vacuum
     pref = math.exp(-abs(spec.alpha) ** 2 / 2.0)
@@ -484,20 +458,6 @@ def _through_gate(basis: FockBasis, k_hh: np.ndarray,
                                     _SIGNAL_V))
 
 
-def _weight_at_cap(state: State) -> float:
-    return float(state.weights()[state.basis.at_cap()].sum())
-
-
-def _face_bound(kind: str, weight: float, photon_cap: int) -> None:
-    """A TruncationError when the weight of a signal of the named kind
-    beyond and at the cap exceeds TRUNCATION_BOUND."""
-    if weight > TRUNCATION_BOUND:
-        raise fock.TruncationError(
-            f"{kind} weight {weight:.3e} beyond and at cap {photon_cap} "
-            f"exceeds bound {TRUNCATION_BOUND:.3e}"
-        )
-
-
 def _signal_order(
     signal: tuple[int, int], photon_cap: int
 ) -> tuple[FockBasis, list[int]]:
@@ -529,11 +489,12 @@ def run_nla(
     probability p1_out and its vacuum-relative odds P(1)/P(0), size_out
     (None without vacuum); the input sizes, the odds of the signal's
     weights as prepared and through the gate (see _through_gate); the
-    truncation weight: the prepared tail beyond the cap plus the signal
+    truncation weight: the prepared weight beyond the cap plus the signal
     weight at the cap, which has no room for the meter photon; and for a
     pure conditional state (no populations) of a spec the amplitude gain
     c1 / (c0 alpha_at_gate).  For a spec the truncation weight faces
-    TRUNCATION_BOUND: a TruncationError if it exceeds it.  The run is the
+    TRUNCATION_BOUND (see _truncation_weight); a prebuilt state brings no
+    weight beyond the cap and is not checked.  The run is the
     same on every layout: the layout only names the modes of the
     conditional state, whose basis then covers the layout's two signal
     modes (see _signal_order).
@@ -546,13 +507,12 @@ def run_nla(
                 f"signal basis {signal.basis} is not the signal modes at cap "
                 f"{photon_cap}"
             )
-        sig_state, tail, spec = signal, 0.0, None
+        sig_state, spec = signal, None
+        truncation = _weight_at_cap(sig_state)
     else:
         spec = signal
-        sig_state, tail = prepare_signal(spec, photon_cap)
-    truncation = tail + _weight_at_cap(sig_state)
-    if spec is not None:
-        _face_bound(spec.kind.replace("_", "-"), truncation, photon_cap)
+        sig_state, beyond = prepare_signal(spec, photon_cap)
+        truncation = _truncation_weight(spec.kind, sig_state, beyond)
     sizes_in = (_odds(fock.occupancy_distribution(sig_state, _SIGNAL_V)),
                 _through_gate(basis, k_hh, sig_state.weights()))
     # meter (|H> + i e^{i phi} |V>)/sqrt(2) in, herald (|H> - i|V>)/sqrt(2)
@@ -589,7 +549,8 @@ def analytic(
 
     N^2 = exp(-|alpha|^2), where t = 1/3 for the postselected gate and 1
     for the ideal one; the N^2 (input) normalization is the one the
-    simulated herald norm reproduces exactly.
+    simulated herald norm reproduces exactly.  The same t scales the gain
+    in norm_out; g2_nondet is the postselected gain for either gate.
     """
     if gate not in ("ideal", "ppbs"):
         raise ValueError(f"unknown gate {gate!r}")
@@ -599,17 +560,16 @@ def analytic(
         raise InfiniteGainError(f"phi = {phi} gives unbounded gain")
     g = (1.0 + w) / (1.0 - w)
     g2 = abs(g) ** 2
-    g2n = g2 / 3.0
     a2 = abs(alpha) ** 2
     t = GATE_TRANSMISSION if gate == "ppbs" else 1.0
     p = math.exp(-a2) * t * math.sin(phi / 2.0) ** 2 * (1.0 + t * g2 * a2)
     return AnalyticPrediction(
         g=g,
         g2=g2,
-        g2_nondet=g2n,
+        g2_nondet=GATE_TRANSMISSION * g2,
         p_success=p,
         norm_in=math.exp(-a2 / 2.0),
-        norm_out=math.exp(-g2n * a2 / 2.0),
+        norm_out=math.exp(-t * g2 * a2 / 2.0),
     )
 
 

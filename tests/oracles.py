@@ -6,10 +6,11 @@ paths, so the two implementations can be compared against each other.  The
 last section holds the loop-based routes that only tests need: splitters and
 waveplates as mode transforms, the dense density matrix of a state, partial
 traces, a density-matrix check, loss as an explicit Kraus sum (and a lossy
-signal built with it), the pair-loop tensor product of pure states, and the
+signal built with it), the pair-loop tensor product of pure states, the
 pair products of two ladders formed from their float parts, and the true
-input size of a signal spec.  Density matrices here are plain arrays over a
-basis.
+input size of a signal spec.  The closed-form herald entries also give the
+herald probability of a Poisson signal with no cap.  Density matrices here
+are plain arrays over a basis.
 """
 
 from __future__ import annotations
@@ -175,31 +176,56 @@ def ppbs_circuit_matrix():
     return m
 
 
+def herald_entries(gate, n_h, n_v):
+    """Closed-form K_HH and K_VV of a gate at the signal occupation
+    (n_H, n_V), with no cap.
+
+    Postselected gate, tau^2 = 1/3 and rho^2 = 2/3:
+    K_HH = 3^{-(1 + n_H + n_V)/2} and
+    K_VV = 3^{-n_H/2} tau^{n_V - 1} (tau^2 - n_V rho^2).  Ideal gate:
+    K_HH = 1 and K_VV = 1 - 2 [n_V = 1].
+    """
+    if gate == "ppbs":
+        tau, rho2 = math.sqrt(1.0 / 3.0), 2.0 / 3.0
+        return (3.0 ** (-(1 + n_h + n_v) / 2),
+                3.0 ** (-n_h / 2) * tau ** (n_v - 1) * (tau**2 - n_v * rho2))
+    if gate == "ideal":
+        return 1.0, (-1.0 if n_v == 1 else 1.0)
+    raise ValueError(f"unknown gate {gate!r}")
+
+
 def herald_diagonals(gate, cap):
     """Closed-form K_HH and K_VV of a gate on the signal basis at the cap.
 
     Entries follow build_basis(2, cap), whose occupations are (n_H, n_V)
-    for signal H below signal V.  Postselected gate, tau^2 = 1/3 and
-    rho^2 = 2/3: K_HH = 3^{-(1 + n_H + n_V)/2} and
-    K_VV = 3^{-n_H/2} tau^{n_V - 1} (tau^2 - n_V rho^2).  Ideal gate:
-    K_HH = 1 and K_VV = 1 - 2 [n_V = 1].  States at the cap have no room for
-    the meter photon, so both are 0 there.
+    for signal H below signal V (see herald_entries).  States at the cap
+    have no room for the meter photon, so both are 0 there.
     """
-    tau, rho2 = math.sqrt(1.0 / 3.0), 2.0 / 3.0
     k_hh, k_vv = [], []
     for n_h, n_v in build_basis(2, cap).occupations:
-        if n_h + n_v == cap:
-            hh = vv = 0.0
-        elif gate == "ppbs":
-            hh = 3.0 ** (-(1 + n_h + n_v) / 2)
-            vv = 3.0 ** (-n_h / 2) * tau ** (n_v - 1) * (tau**2 - n_v * rho2)
-        elif gate == "ideal":
-            hh, vv = 1.0, (-1.0 if n_v == 1 else 1.0)
-        else:
-            raise ValueError(f"unknown gate {gate!r}")
+        hh, vv = (0.0, 0.0) if n_h + n_v == cap else herald_entries(gate, n_h, n_v)
         k_hh.append(hh)
         k_vv.append(vv)
     return np.array(k_hh, dtype=complex), np.array(k_vv, dtype=complex)
+
+
+def herald_probability_uncapped(gate, mean, phi):
+    """Herald probability of a signal on signal V with Poisson photon
+    numbers of the given mean, coherent or phase-averaged alike, with no
+    cap: sum_n Poisson(n; mean) |(K_HH(0, n) - e^{i phi} K_VV(0, n))/2|^2.
+
+    Each Poisson weight comes from its logarithm through lgamma, and the
+    sum runs until the weights, falling past the mean, are below 1e-30.
+    """
+    w = cmath.exp(1.0j * phi)
+    terms, n = [], 0
+    while True:
+        weight = math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+        hh, vv = herald_entries(gate, 0, n)
+        terms.append(weight * abs((hh - w * vv) / 2.0) ** 2)
+        if n > mean and weight < 1e-30:
+            return math.fsum(terms)
+        n += 1
 
 
 def ppbs_cz_elements(layout: ModeLayout) -> list[ModeTransform]:
@@ -483,8 +509,8 @@ def pair_products(h: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The products h[i] v[j], formed from the float parts, +0 where a
     factor is 0.
 
-    This rounds as a scalar complex product does; numpy's array product
-    can differ from it in the last bit.
+    This rounds as a scalar complex product does; numpy's array product,
+    which the two-mode input takes, can differ from it in the last bit.
     """
     hr, hi = h.real[:, None], h.imag[:, None]
     out = np.empty((h.size, v.size), dtype=complex)

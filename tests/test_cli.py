@@ -90,6 +90,17 @@ def test_protocol_json_output(tmp_path, capsys):
     assert row["amplitude_gain_im"] == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
+def test_ideal_gate_norm_out_is_its_amplified_state_norm(capsys):
+    # norm_out is the vacuum amplitude exp(-t |g alpha|^2 / 2) of the gate's
+    # amplified state: t = 1 for the ideal gate, 1/3 for the postselected one
+    for gate, t in (("ideal", 1.0), ("ppbs", 1.0 / 3.0)):
+        assert main(["protocol", "--gate", gate, "--gain", "3", "--alpha2",
+                     "1e-4", "--format", "json"]) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert meta["norm_in"] == pytest.approx(math.exp(-0.5e-4), rel=1e-12)
+        assert meta["norm_out"] == pytest.approx(math.exp(-t * 1.5e-4), rel=1e-12)
+
+
 def test_protocol_tail_is_taken_after_loss(capsys):
     # the ladder is cut at the attenuated mean, so an input whose own tail
     # is too heavy for the cap runs once loss has thinned it
@@ -581,7 +592,8 @@ def test_truncation_names_the_cap_option(args, capsys):
     captured = capsys.readouterr()
     kind = "phase-averaged" if "phase-averaged" in args else "coherent"
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {kind} tail ")
+    assert captured.err.startswith(f"error: {kind} weight ")
+    assert f"beyond and at cap {args[args.index('--cap') + 1]} " in captured.err
     assert captured.err.endswith("; raise --cap\n")
 
 
@@ -762,7 +774,8 @@ def test_cli_reads_no_private_argparse_name():
 
 
 # values out of each option's domain: its test, a non-finite float, a
-# choice not offered, a grid that does not parse, a bare flag's value
+# choice not offered, a grid that does not parse, a bare flag's value; and
+# shots above 0 with no seed
 _OUT_OF_DOMAIN = {
     "--phi": ["nan"],
     "--gain": ["-1", "nan"],
@@ -777,7 +790,7 @@ _OUT_OF_DOMAIN = {
     "--inputs": ["0", "-1e-5", "--"],
     "--phis": ["1:2", "--"],
     "--epsilon": ["-1", "1.5", "nan"],
-    "--shots": ["-1"],
+    "--shots": ["-1", "10"],
     "--seed": ["-1"],
     "--rate-scale": ["0", "-1", "nan"],
     "--convention": ["--"],
@@ -796,6 +809,20 @@ def _out_of_domain_cases():
                 if (command, opt.flag, value) != ("gain-sweep", "--gains", "0.5"):
                     cases.append((command, opt, value))
     return cases
+
+
+def test_config_shots_take_a_seed_from_either_source(tmp_path, monkeypatch,
+                                                     capsys):
+    # a seed on the command line completes the config's shots, --shots 0
+    # turns them off, and shots from the command line name the flag
+    monkeypatch.chdir(tmp_path)
+    Path("c.json").write_text(json.dumps({"command": "gain-sweep", "shots": 10}))
+    assert main(["gain-sweep", "--config", "c.json", "--seed", "1"]) == 0
+    assert main(["gain-sweep", "--config", "c.json", "--shots", "0"]) == 0
+    capsys.readouterr()
+    assert main(["gain-sweep", "--config", "c.json", "--shots", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --seed is required when --shots > 0\n")
 
 
 def test_every_option_with_a_domain_has_out_of_domain_values():

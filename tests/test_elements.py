@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nla_weaksim import protocol
 from nla_weaksim.elements import (
     PPBSSpec,
     ppbs,
@@ -121,11 +120,11 @@ def test_loss_on_single_photon_frozen_values():
     assert rho[state.basis.index_of((1, 0)), vac] == 0.0
 
 
-def test_loss_matches_ancilla_construction(monkeypatch):
+def test_loss_matches_ancilla_construction():
     # a lossy phase-averaged signal is the Poisson ladder thinned by loss,
     # as the vacuum-ancilla construction gives it on a ladder past the cap;
-    # its tail beyond cap 3, 1.5e-3, is over the bound, which is not checked
-    monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
+    # its tail beyond cap 3, 1.5e-3, is over the bound, which a prepared
+    # signal does not face
     alpha, loss, cap = 0.8, 0.23, 3
     long = cap + 30
     pops = [math.exp(-(alpha**2)) * alpha ** (2 * n) / math.factorial(n)

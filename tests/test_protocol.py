@@ -61,19 +61,25 @@ def test_poisson_tail_is_summed_not_cancelled(mean, cap):
     assert tail_mixed == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-def test_poisson_tail_of_a_large_mean(monkeypatch):
+def test_poisson_tail_of_a_large_mean():
     # most of the weight is beyond the cap, where one minus the head is exact
-    monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
     _, tail = phase_averaged_state(3.0, 2)
     assert tail == pytest.approx(oracles.poisson_tail(9.0, 2), rel=1e-12, abs=0.0)
 
 
 def test_truncated_coherent_rejects_large_tail():
-    with pytest.raises(TruncationError):
-        protocol._coherent_ladder(1.5, 3)
-    # the phase-averaged ladder has the same tail and faces the same bound
-    with pytest.raises(TruncationError, match="phase-averaged tail"):
-        phase_averaged_state(1.5, 3)
+    # both ladders report the same weight beyond the cap; a run and an input
+    # size of either signal hold it, with the weight at the cap, to the bound
+    _, beyond = protocol._coherent_ladder(1.5, 3)
+    assert beyond == pytest.approx(oracles.poisson_tail(2.25, 3), rel=1e-12)
+    assert phase_averaged_state(1.5, 3)[1] == beyond
+    for kind in ("coherent", "phase_averaged"):
+        spec = SignalSpec(kind, 1.5)
+        match = f"{kind.replace('_', '-')} weight .* beyond and at cap 3 "
+        with pytest.raises(TruncationError, match=match):
+            run_nla(spec, MeterSetting(1.1), photon_cap=3)
+        with pytest.raises(TruncationError, match=match):
+            experiment.measure_input_size(spec, photon_cap=3)
 
 
 def test_meter_state_and_projector_overlap():
@@ -196,6 +202,34 @@ def test_herald_probability_coherent_input_close_to_closed_form():
             assert out.herald_probability == pytest.approx(
                 pred.p_success, rel=1e-5
             )
+
+
+def test_truncation_weight_bounds_the_herald_error():
+    # a run misses the herald of the Poisson weight at and beyond the cap,
+    # each photon number n heralding with |M_n|^2 <= 1, so the distance to
+    # the herald with no cap stays within the truncation weight, plus
+    # rounding; specs the bound refuses are skipped
+    rng = np.random.default_rng(5)
+    runs = 0
+    for _ in range(2000):
+        gate = ("ideal", "ppbs")[rng.integers(2)]
+        cap = int(rng.integers(2, 31 if gate == "ideal" else 9))
+        mean = math.exp(rng.uniform(math.log(1e-5), math.log(10.0)))
+        phi = phi_for_gain(rng.uniform(0.2, 10.0))
+        if rng.integers(2):
+            spec = SignalSpec("phase_averaged", math.sqrt(mean))
+        else:
+            spec = SignalSpec("coherent", cmath.rect(math.sqrt(mean),
+                                                     rng.uniform(-math.pi, math.pi)))
+        try:
+            out = run_nla(spec, MeterSetting(phi), gate, photon_cap=cap)
+        except TruncationError:
+            continue
+        want = oracles.herald_probability_uncapped(gate, mean, phi)
+        assert abs(out.herald_probability - want) <= (out.truncation_weight
+                                                      + 1e-14 * want)
+        runs += 1
+    assert runs > 1000
 
 
 def test_ideal_gate_herald_closed_form():
@@ -432,11 +466,12 @@ def test_coherent_signal_is_the_product_with_an_empty_h_mode(cap, monkeypatch):
 
 
 def test_prepared_signal_does_not_mix_float_and_complex_amplitudes():
-    # the specs compare equal, yet complex powers round differently
+    # the specs compare equal, and the recursion, one real product and
+    # quotient per term, gives both amplitude types equal arrays
     a = 0.0307
     direct = {t: two_mode_coherent(0.0, t(a), 4)[0].amplitudes
               for t in (float, complex)}
-    assert not np.array_equal(direct[float], direct[complex])
+    assert np.array_equal(direct[float], direct[complex])
     assert SignalSpec("coherent", a) == SignalSpec("coherent", complex(a))
     for t in (complex, float):
         got = prepare_signal(SignalSpec("coherent", t(a)), 4)[0]
@@ -709,10 +744,9 @@ def test_phase_insensitivity(theta):
 
 @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, ModeLayout(1, 0, 2, 3)],
                          ids=["default", "swapped"])
-def test_phase_averaged_diagonal_equals_the_per_n_loop(layout, monkeypatch):
-    # on a layout, in the order in which run_nla names its output modes;
-    # |alpha| = 1.5 leaves most of its weight beyond these caps
-    monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
+def test_phase_averaged_diagonal_equals_the_per_n_loop(layout):
+    # on a layout, in the order in which run_nla names its output modes; the
+    # recursion meets the per-n closed form to a few roundings per term
     for cap in (2, 3, 5):
         basis, order = protocol._signal_order(layout.signal, cap)
         vpos = basis.position(layout.signal_v)
@@ -729,7 +763,7 @@ def test_phase_averaged_diagonal_equals_the_per_n_loop(layout, monkeypatch):
                     math.exp(-mean) * mean**n / math.factorial(n)
                 )
             assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_phase_averaged_equals_quadrature_average():
@@ -789,9 +823,9 @@ _SPREAD = ModeLayout(5, 2, 11, 0)  # signal H sorts after signal V
                          ids=["default", "spread"])
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
 def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout, monkeypatch):
-    # the gathered product, in the order in which run_nla names the layout's
-    # output modes, holds the bits of the pair loop on those modes, and the
-    # weight over the cap adds the same terms in the same order; the bound
+    # the gathered array product, in the order in which run_nla names the
+    # layout's output modes, is the scalar pair loop on those modes to a few
+    # ulps, and the weight over the cap sums the same terms; the bound
     # admits every tail, as some pairs leave more than 1e-3 beyond cap 2
     monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
     rng = np.random.default_rng(cap)
@@ -809,39 +843,39 @@ def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout, monkeypatch):
         state, weight = two_mode_coherent(alpha_h, alpha_v, cap)
         got = state.amplitudes[order]
         assert basis == want.basis
-        assert np.array_equal(got, want.amplitudes)
-        assert got.tobytes() == want.amplitudes.tobytes()
-        assert weight == tail_h + tail_v + dropped
+        assert np.allclose(got, want.amplitudes, rtol=2e-15, atol=0.0)
+        assert weight == pytest.approx(tail_h + tail_v + dropped, rel=1e-14)
         if alpha_h == 0.0:
             assert dropped == 0.0
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7, 8])
 def test_pair_products_match_the_float_part_oracle(cap, monkeypatch):
-    # scalar complex products round as the float-part formulas do, and a
-    # zero factor gives +0 whatever the signs of the other's parts
+    # the two-mode input's array product of its two ladders is the products
+    # formed from the float parts to a few ulps, and 0 where a factor is 0;
+    # the bound admits the largest inputs at the lowest caps
     monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
     rng = np.random.default_rng(100 + cap)
-    ladders = []
-    for _ in range(20):
-        h, v = (rng.normal(size=cap + 1) + 1j * rng.normal(size=cap + 1)
-                for _ in range(2))
-        h[rng.random(cap + 1) < 0.3] *= 0
-        v[rng.random(cap + 1) < 0.3] *= 0
-        ladders.append((h, v))
+    pairs = [tuple(complex(*z) for z in 0.4 * rng.normal(size=(2, 2)))
+             for _ in range(12)]
+    pairs += [(0.0, 0.3), (0.2 - 0.1j, 0.0)]
     for g2 in (2.0, 3.0, 4.0, 5.0):
         for mag in (0.0015, 0.3):
-            ladders.append(tuple(protocol._coherent_ladder(a, cap)[0]
-                                 for a in (math.sqrt(g2) * mag, mag)))
-    for h, v in ladders:
-        got = np.array(protocol._pair_products(h, v))
-        assert got.dtype == complex
-        assert got.tobytes() == oracles.pair_products(h, v).tobytes()
+            pairs.append((math.sqrt(g2) * mag, mag))
+    for alpha_h, alpha_v in pairs:
+        h, v = (protocol._coherent_ladder(a, cap)[0] for a in (alpha_h, alpha_v))
+        state, _ = two_mode_coherent(alpha_h, alpha_v, cap)
+        basis = state.basis
+        want = oracles.pair_products(h, v)[basis.counts(DEFAULT_LAYOUT.signal_h),
+                                           basis.counts(DEFAULT_LAYOUT.signal_v)]
+        assert state.amplitudes.dtype == complex
+        assert np.allclose(state.amplitudes, want, rtol=2e-15, atol=0.0)
+        assert np.array_equal(state.amplitudes == 0, want == 0)
 
 
 def test_two_mode_coherent_bounds_both_tails():
     for alpha_h, alpha_v in ((1.5, 0.0), (0.0, 1.5)):
-        with pytest.raises(TruncationError, match="beyond cap 3"):
+        with pytest.raises(TruncationError, match="beyond and at cap 3"):
             two_mode_coherent(alpha_h, alpha_v, 3)
 
 
@@ -901,52 +935,61 @@ def test_signal_spec_validation():
             MeterSetting(bad)
 
 
+def _lgamma_amplitudes(alpha, cap):
+    # |alpha|^n e^{-|alpha|^2/2} / sqrt(n!) from its logarithm, n = 0..cap
+    return np.array([math.exp(n * math.log(alpha) - alpha**2 / 2.0
+                              - math.lgamma(n + 1) / 2.0) for n in range(cap + 1)])
+
+
 def test_ladders_past_170_are_finite_and_keep_the_closed_form_below():
+    # the recursion meets the closed form to rounding below 171, where n!
+    # still is a float (to subnormal rounding at the smallest terms), and
+    # the logarithmic closed form beyond it
     amps, tail = protocol._coherent_ladder(0.1, 171)
     assert np.all(np.isfinite(amps)) and tail == 0.0
     pref = math.exp(-0.01 / 2.0)
-    assert amps[:171].tolist() == [
-        complex(pref * 0.1**n / math.sqrt(math.factorial(n))) for n in range(171)
-    ]
+    assert amps[:171] == pytest.approx(
+        [pref * 0.1**n / math.sqrt(math.factorial(n)) for n in range(171)],
+        rel=1e-12, abs=1e-300)
     # past 170 each term is the last one times alpha / sqrt(n)
     a, _ = protocol._coherent_ladder(8.0, 300)
     assert np.all(np.isfinite(a))
     past = np.arange(171, 175)
     assert a[171:175] == pytest.approx(a[170:174] * 8.0 / np.sqrt(past), rel=1e-15)
+    assert a == pytest.approx(_lgamma_amplitudes(8.0, 300), rel=1e-11)
     assert math.fsum(abs(a) ** 2) == pytest.approx(1.0, abs=1e-12)
-    weights = protocol._poisson_weights(64.0, 300)
-    assert weights[:171].tolist() == [
-        math.exp(-64.0) * 64.0**n / math.factorial(n) for n in range(171)
-    ]
+    weights, _ = protocol._poisson(64.0, 300, "phase-averaged")
+    weights = np.array(weights)
+    assert weights[:171] == pytest.approx(
+        [math.exp(-64.0) * 64.0**n / math.factorial(n) for n in range(171)],
+        rel=1e-12)
     assert np.all(np.isfinite(weights))
     assert weights[171:] == pytest.approx(np.abs(a[171:]) ** 2, rel=1e-12)
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_ladders_continue_where_the_closed_form_power_overflows(monkeypatch):
-    # 144^n passes the largest float below n = 170: the weights before it
-    # keep the bits of the closed form, the rest follow w_n = w_{n-1} mean / n
+def test_ladders_continue_where_the_closed_form_power_overflows():
+    # 144^n passes the largest float below n = 170: the weights are one
+    # recursion w_n = w_{n-1} (mean / n) from e^{-mean}, which meets the
+    # closed form to rounding before that n and goes on after it
     first = 0
     with pytest.raises(OverflowError):
         while 144.0**first:
             first += 1
     assert first < 170
-    weights = protocol._poisson_weights(144.0, 400).tolist()
-    assert weights[:first] == [
-        math.exp(-144.0) * 144.0**n / math.factorial(n) for n in range(first)
-    ]
-    assert weights[first:] == [
-        weights[n - 1] * 144.0 / n for n in range(first, 401)
-    ]
+    weights, _ = protocol._poisson(144.0, 400, "phase-averaged")
+    assert weights[0] == math.exp(-144.0)
+    assert weights[1:] == [weights[n - 1] * (144.0 / n) for n in range(1, 401)]
+    assert weights[:first] == pytest.approx(
+        [math.exp(-144.0) * 144.0**n / math.factorial(n) for n in range(first)],
+        rel=1e-12)
     assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
     # at |alpha| = 70 the power overflows too, but exp(-|alpha|^2 / 2)
     # already underflows to 0, and so would the tail's start exp(-4900):
-    # the mean is refused, whatever the bound
-    with monkeypatch.context() as patch:
-        patch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
-        for alpha in (70 + 0j, 70):
-            with pytest.raises(ValueError, match="4900 is above the limit 700"):
-                protocol._coherent_ladder(alpha, 6000)
+    # the mean is refused
+    for alpha in (70 + 0j, 70):
+        with pytest.raises(ValueError, match="4900 is above the limit 700"):
+            protocol._coherent_ladder(alpha, 6000)
 
 
 def _lgamma_tail(mean, cap):
@@ -962,14 +1005,14 @@ def test_poisson_tail_at_large_means():
     # up to mean 700 the recursion from e^{-mean} is exact to rounding;
     # above it e^{-mean} nears underflow (at 900 it read a tail of 1), so
     # the mean is refused with an error that names the limit
-    tail = protocol._poisson_tail(700.0, 1200, "coherent")
+    _, tail = protocol._poisson(700.0, 1200, "coherent")
     assert tail == pytest.approx(_lgamma_tail(700.0, 1200), rel=1e-9)
     assert 1e-70 < tail < 1e-60
     assert _lgamma_tail(900.0, 1500) == pytest.approx(9.8e-75, rel=1e-2)
     for kind in ("coherent", "phase-averaged"):
         with pytest.raises(ValueError, match=f"{kind} mean photon number "
                                              "900 is above the limit 700"):
-            protocol._poisson_tail(900.0, 1500, kind)
+            protocol._poisson(900.0, 1500, kind)
     with pytest.raises(ValueError, match="above the limit 700"):
         phase_averaged_state(30.0, 600)
 
