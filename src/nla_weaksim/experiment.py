@@ -115,7 +115,9 @@ class FringeScan:
 
 def state_size(state: State, mode: int) -> float:
     """Vacuum-relative odds P(1)/P(0) of the given mode."""
-    return _defined(protocol._odds(fock.occupancy_distribution(state, mode)))
+    # a basis at cap 0 has no n = 1
+    p0, p1 = (fock.occupancy_distribution(state, mode).tolist() + [0.0])[:2]
+    return _defined(protocol._odds(p0, p1))
 
 
 def _defined(size: Optional[float]) -> float:
@@ -139,12 +141,13 @@ def measure_input_size(
     one).  A run reports the same size (ProtocolOutcome.size_in_measured).
     The size does not depend on the layout: it changes nothing, and is
     accepted only because the benchmark's cold-gate workload passes one.
-    The signal faces TRUNCATION_BOUND as a run's does.
+    The signal faces TRUNCATION_BOUND as a run's does, and the size is read
+    from the same product with the gate's readout rows (protocol._readout).
     """
     sig_state, beyond = protocol.prepare_signal(signal, photon_cap)
-    protocol._truncation_weight(signal.kind, sig_state, beyond)
-    basis, k_hh, _ = protocol.herald_operators(gate, photon_cap)
-    return _defined(protocol._through_gate(basis, k_hh, sig_state.weights()))
+    *_, size = protocol._read_signal(gate, photon_cap, sig_state, beyond,
+                                     signal.kind)
+    return _defined(size)
 
 
 def simulate_counts(

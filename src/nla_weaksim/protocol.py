@@ -25,8 +25,11 @@ L attenuates the amplitude to sqrt(1-L) alpha before the ladder is cut, so
 lossy coherent and phase-averaged signals keep their family; the lossy
 two-level signal keeps its lost weight as a population on the vacuum.  Only
 the biased two-mode input (two_mode_coherent) takes the products
-h[n_H] v[n_V] of two ladders, as one array product.  A signal's truncation
-weight is its weight beyond plus at the cap (_truncation_weight).
+h[n_H] v[n_V] of two ladders, as one array product; its weight beyond the
+cap is that of the pairs outside n_H + n_V <= cap, t_h + t_v - t_h t_v for
+the pairs with a photon number beyond its ladder's cap plus the pairs of
+the two ladders over it.  A signal's truncation weight is its weight beyond
+plus at the cap (_check_truncation).
 
 The herald of a gate U keeps one meter photon, in a (a in H, V), and reads
 two diagonals on the signal basis, K_a = <a| U |a> for each signal
@@ -39,8 +42,12 @@ permanents, once per cap.  The full lift (gate_operator) is never built
 for a run.  A run at meter phase phi then applies
 M(phi) = (K_HH - e^{i phi} K_VV)/2 to the signal elementwise.  M is
 diagonal in photon number, so it keeps the state's form: psi goes to M psi
-and p to |M|^2 p.  A run reads its input sizes from the signal's weights:
-the true one as they are, the through-gate one weighted by |K_HH|^2.
+and p to |M|^2 p.  A run reads its numbers off photon-number weights with
+the gate's readout (_readout), rows cached next to its herald: one product
+with the signal's weights gives the weight at the cap and both input
+sizes, the true one from the weights as they are and the through-gate one
+from them times |K_HH|^2, and one product with the conditional state's
+weights gives its n_V = 0 and 1 weights.
 """
 
 from __future__ import annotations
@@ -77,7 +84,7 @@ GATE_TRANSMISSION = 1.0 / 3.0
 
 DEFAULT_PHOTON_CAP = 3
 
-# largest truncation weight of a signal (see _truncation_weight)
+# largest truncation weight of a signal (see _check_truncation)
 TRUNCATION_BOUND = 1e-3
 
 # largest Poisson mean of a signal: e^{-700} still has a float's full
@@ -169,12 +176,12 @@ class AnalyticPrediction:
 class ProtocolOutcome:
     """One run's result (see run_nla).
 
-    p1_out and size_out read the one signal V marginal of the conditional
-    state: its one-photon probability and its vacuum-relative odds
-    P(1)/P(0), the output size.  size_in_true and size_in_measured are the
-    odds of the input signal as prepared and as measured through the gate
-    (see _through_gate).  A size is None where its marginal has no vacuum,
-    and size_out also where the herald vanished.
+    p1_out and size_out read the signal V weights of the conditional state:
+    its one-photon probability and its vacuum-relative odds P(1)/P(0), the
+    output size.  size_in_true and size_in_measured are the odds of the
+    input signal as prepared and as measured through the gate, its weights
+    times |K_HH|^2 (see _readout).  A size is None where its weights hold
+    no vacuum, and size_out also where the herald vanished.
     """
 
     conditional_state: State | None
@@ -246,21 +253,15 @@ def _coherent_ladder(alpha: complex, cap: int) -> tuple[np.ndarray, float]:
     return np.array(amps, dtype=complex), beyond
 
 
-def _weight_at_cap(state: State) -> float:
-    return float(state.weights()[state.basis.at_cap()].sum())
-
-
-def _truncation_weight(kind: str, state: State, beyond: float) -> float:
-    """The truncation weight of a signal of the named kind: its weight
-    beyond the cap plus its weight at the cap, which has no room for the
-    meter photon; a TruncationError if it exceeds TRUNCATION_BOUND."""
-    weight = beyond + _weight_at_cap(state)
+def _check_truncation(kind: str, photon_cap: int, weight: float) -> None:
+    """A TruncationError if the truncation weight of a signal of the named
+    kind, its weight beyond the cap plus its weight at the cap, which has
+    no room for the meter photon, exceeds TRUNCATION_BOUND."""
     if weight > TRUNCATION_BOUND:
         raise fock.TruncationError(
             f"{kind.replace('_', '-')} weight {weight:.3e} beyond and at cap "
-            f"{state.basis.photon_cap} exceeds bound {TRUNCATION_BOUND:.3e}"
+            f"{photon_cap} exceeds bound {TRUNCATION_BOUND:.3e}"
         )
-    return weight
 
 
 def two_mode_coherent(
@@ -271,20 +272,27 @@ def two_mode_coherent(
     """Product of coherent states on the signal H and V modes.
 
     Each amplitude is h[n_H] v[n_V], gathered by the basis counts from the
-    one array product of the two ladders.  The returned weight is the two
-    ladders' weight beyond the cap plus the product's over it; with the
-    weight at the cap it faces TRUNCATION_BOUND here, as a spec's does in
-    run_nla (see _truncation_weight).
+    one array product of the two ladders.  The returned weight is that of
+    the pairs outside n_H + n_V <= cap: those with a photon number beyond
+    its ladder's cap, t_h + t_v - t_h t_v of the ladders' tails t, plus the
+    product's pairs over the cap.  With the product's weight at the cap it
+    faces TRUNCATION_BOUND here, as a spec's does in run_nla (see
+    _check_truncation).
     """
     h, beyond_h = _coherent_ladder(alpha_h, photon_cap)
     v, beyond_v = _coherent_ladder(alpha_v, photon_cap)
     basis = _signal_basis(photon_cap)
     pairs = h[:, None] * v
+    weights = np.abs(pairs) ** 2
     n = np.arange(photon_cap + 1)
-    over = n[:, None] + n > photon_cap
-    state = State(basis, pairs[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)])
-    beyond = beyond_h + beyond_v + float(np.sum(np.abs(pairs[over]) ** 2))
-    _truncation_weight("coherent", state, beyond)
+    total = n[:, None] + n
+    state = State._derived(
+        basis, pairs[basis.counts(_SIGNAL_H), basis.counts(_SIGNAL_V)],
+        np.zeros(basis.size))
+    beyond = (beyond_h + beyond_v - beyond_h * beyond_v
+              + float(weights[total > photon_cap].sum()))
+    _check_truncation("coherent", photon_cap,
+                      beyond + float(weights[total == photon_cap].sum()))
     return state, beyond
 
 
@@ -293,12 +301,13 @@ def phase_averaged_state(alpha: complex, photon_cap: int) -> tuple[State, float]
     populations on signal V (the n_H = 0 column), and no pure part, and the
     weight beyond the cap, from one recursion (see _poisson).  Equal to
     averaging |a e^{i theta}> projectors over theta; its truncation weight
-    adds its weight at the cap (see _truncation_weight)."""
+    adds its weight at the cap (see _check_truncation)."""
     basis = _signal_basis(photon_cap)
     pops = np.zeros(basis.size)
     pops[:photon_cap + 1], beyond = _poisson(abs(alpha) * abs(alpha),
                                              photon_cap, "phase-averaged")
-    return State(basis, np.zeros(basis.size, dtype=complex), pops), beyond
+    return State._derived(basis, np.zeros(basis.size, dtype=complex),
+                          pops), beyond
 
 
 def ppbs_cz_circuit() -> list[ModeTransform]:
@@ -341,7 +350,9 @@ def prepare_signal(spec: SignalSpec, photon_cap: int) -> tuple[State, float]:
     """Signal state on the (H, V) signal modes per the spec, one ladder of
     signal V from one recursion, plus its weight beyond the cap (none for
     the two-level signal); its truncation weight adds its weight at the
-    cap, and run_nla holds that to TRUNCATION_BOUND (see _truncation_weight).
+    cap, and run_nla holds that to TRUNCATION_BOUND (see _check_truncation).
+    Its arrays are new and valid by construction, so the state takes them
+    as they are (State._derived).
     """
     if spec.kind == "phase_averaged":
         return phase_averaged_state(spec.alpha_at_gate, photon_cap)
@@ -351,7 +362,7 @@ def prepare_signal(spec: SignalSpec, photon_cap: int) -> tuple[State, float]:
     if spec.kind == "coherent":
         psi[:photon_cap + 1], beyond = _coherent_ladder(spec.alpha_at_gate,
                                                         photon_cap)
-        return State(basis, psi), beyond
+        return State._derived(basis, psi, np.zeros(basis.size)), beyond
     # N(|0> + alpha_at_gate |1>), and the weight L |N alpha|^2 that loss
     # takes from |1> on the vacuum
     pref = math.exp(-abs(spec.alpha) ** 2 / 2.0)
@@ -359,7 +370,7 @@ def prepare_signal(spec: SignalSpec, photon_cap: int) -> tuple[State, float]:
     psi[1] = pref * spec.alpha_at_gate
     pops = np.zeros(basis.size)
     pops[0] = spec.loss * abs(pref * spec.alpha) ** 2
-    return State(basis, psi, pops), 0.0
+    return State._derived(basis, psi, pops), 0.0
 
 
 @lru_cache(maxsize=None)
@@ -442,20 +453,46 @@ def apply_herald(m: np.ndarray, state: State) -> tuple[State | None, float]:
     return State._derived(state.basis, c / math.sqrt(prob), q / prob), prob
 
 
-def _odds(dist: np.ndarray) -> float | None:
-    """Vacuum-relative odds P(1)/P(0) of a photon-number distribution; None
-    without vacuum."""
-    p0 = float(dist[0])
-    p1 = float(dist[1]) if len(dist) > 1 else 0.0
+@lru_cache(maxsize=None)
+def _readout(gate: GateKind, photon_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows that read a run's numbers off photon-number weights on
+    the signal basis, cached per (gate, cap) next to its herald.
+
+    The five input rows give, in one product with a signal's weights, its
+    weight at the cap and its signal V weights at n = 0 and n = 1, as they
+    are and times |K_HH|^2, what a meter photon sent in and heralded in H
+    passes (the through-gate input size).  The two output rows are the
+    n = 0 and n = 1 indicators, for the conditional state.
+    """
+    basis, k_hh, _ = herald_operators(gate, photon_cap)
+    n_v = basis.counts(_SIGNAL_V)
+    levels = np.array([n_v == 0, n_v == 1], dtype=float)
+    rows_in = np.vstack([basis.at_cap(), levels, levels * np.abs(k_hh) ** 2])
+    rows_in.flags.writeable = False
+    levels.flags.writeable = False
+    return rows_in, levels
+
+
+def _odds(p0: float, p1: float) -> float | None:
+    """Vacuum-relative odds P(1)/P(0); None without vacuum."""
     return p1 / p0 if p0 > 0.0 else None
 
 
-def _through_gate(basis: FockBasis, k_hh: np.ndarray,
-                  weights: np.ndarray) -> float | None:
-    """Input size as the bench measures it: the odds of the signal weights
-    times |K_HH|^2, what a meter photon sent in and heralded in H passes."""
-    return _odds(fock.mode_marginal(basis, np.abs(k_hh) ** 2 * weights,
-                                    _SIGNAL_V))
+def _read_signal(
+    gate: GateKind, photon_cap: int, state: State, beyond: float,
+    kind: str | None,
+) -> tuple[float, float | None, float | None]:
+    """A signal's truncation weight, its weight beyond plus at the cap, and
+    its input sizes, true and through the gate, from one product of the
+    readout's input rows with its weights.  The weight of a signal of a
+    spec's kind faces TRUNCATION_BOUND; that of a prebuilt state (kind
+    None) does not."""
+    at_cap, p0, p1, g0, g1 = (_readout(gate, photon_cap)[0]
+                              @ state.weights()).tolist()
+    weight = beyond + at_cap
+    if kind is not None:
+        _check_truncation(kind, photon_cap, weight)
+    return weight, _odds(p0, p1), _odds(g0, g1)
 
 
 def _signal_order(
@@ -485,19 +522,19 @@ def run_nla(
     diagonals to the signal's pure part and populations (see apply_herald).
     A prebuilt signal state must live on the two fixed signal modes at the
     cap.  Returns the conditional signal state and the herald probability;
-    from the conditional state's one signal V marginal, its one-photon
+    from the conditional state's signal V weights, its one-photon
     probability p1_out and its vacuum-relative odds P(1)/P(0), size_out
     (None without vacuum); the input sizes, the odds of the signal's
-    weights as prepared and through the gate (see _through_gate); the
-    truncation weight: the prepared weight beyond the cap plus the signal
-    weight at the cap, which has no room for the meter photon; and for a
-    pure conditional state (no populations) of a spec the amplitude gain
-    c1 / (c0 alpha_at_gate).  For a spec the truncation weight faces
-    TRUNCATION_BOUND (see _truncation_weight); a prebuilt state brings no
-    weight beyond the cap and is not checked.  The run is the
-    same on every layout: the layout only names the modes of the
-    conditional state, whose basis then covers the layout's two signal
-    modes (see _signal_order).
+    weights as prepared and through the gate; the truncation weight: the
+    prepared weight beyond the cap plus the signal weight at the cap, which
+    has no room for the meter photon; and for a pure conditional state (no
+    populations) of a spec the amplitude gain c1 / (c0 alpha_at_gate).
+    Each state's numbers are one product with the gate's readout rows (see
+    _readout).  For a spec the truncation weight faces TRUNCATION_BOUND
+    (see _check_truncation); a prebuilt state brings no weight beyond the
+    cap and is not checked.  The run is the same on every layout: the
+    layout only names the modes of the conditional state, whose basis then
+    covers the layout's two signal modes (see _signal_order).
     """
     phi = meter.phi if isinstance(meter, MeterSetting) else float(meter)
     basis, k_hh, k_vv = herald_operators(gate, photon_cap)
@@ -507,20 +544,19 @@ def run_nla(
                 f"signal basis {signal.basis} is not the signal modes at cap "
                 f"{photon_cap}"
             )
-        sig_state, spec = signal, None
-        truncation = _weight_at_cap(sig_state)
+        sig_state, spec, beyond, kind = signal, None, 0.0, None
     else:
         spec = signal
         sig_state, beyond = prepare_signal(spec, photon_cap)
-        truncation = _truncation_weight(spec.kind, sig_state, beyond)
-    sizes_in = (_odds(fock.occupancy_distribution(sig_state, _SIGNAL_V)),
-                _through_gate(basis, k_hh, sig_state.weights()))
+        kind = spec.kind
+    truncation, *sizes_in = _read_signal(gate, photon_cap, sig_state, beyond,
+                                         kind)
     # meter (|H> + i e^{i phi} |V>)/sqrt(2) in, herald (|H> - i|V>)/sqrt(2)
     heralded = (k_hh - cmath.exp(1.0j * phi) * k_vv) / 2.0
     cond, prob = apply_herald(heralded, sig_state)
     if cond is None:
         return ProtocolOutcome(None, prob, 0.0, None, *sizes_in, truncation)
-    dist = fock.occupancy_distribution(cond, _SIGNAL_V)
+    p0_out, p1_out = (_readout(gate, photon_cap)[1] @ cond.weights()).tolist()
     amp_gain = None
     alpha = spec.alpha_at_gate if spec is not None else 0
     if alpha != 0 and not np.count_nonzero(cond.populations):
@@ -532,7 +568,7 @@ def run_nla(
         named, order = _signal_order(layout.signal, photon_cap)
         cond = State._derived(named, cond.amplitudes[order],
                               cond.populations[order])
-    return ProtocolOutcome(cond, prob, float(dist[1]), _odds(dist),
+    return ProtocolOutcome(cond, prob, p1_out, _odds(p0_out, p1_out),
                            *sizes_in, truncation, amp_gain)
 
 

@@ -7,8 +7,9 @@ last section holds the loop-based routes that only tests need: splitters and
 waveplates as mode transforms, the dense density matrix of a state, partial
 traces, a density-matrix check, loss as an explicit Kraus sum (and a lossy
 signal built with it), the pair-loop tensor product of pure states, the
-pair products of two ladders formed from their float parts, and the true
-input size of a signal spec.  The closed-form herald entries also give the
+pair products of two ladders formed from their float parts, the weight of
+two Poisson ladders outside the two-mode triangle, the true input size of a
+signal spec, and a run's numbers read from np.bincount marginals.  The closed-form herald entries also give the
 herald probability of a Poisson signal with no cap.  Density matrices here
 are plain arrays over a basis.
 """
@@ -34,8 +35,13 @@ from nla_weaksim.fock import (
     ModeTransform,
     State,
     build_basis,
+    mode_marginal,
 )
-from nla_weaksim.protocol import DEFAULT_PHOTON_CAP, prepare_signal
+from nla_weaksim.protocol import (
+    DEFAULT_PHOTON_CAP,
+    herald_operators,
+    prepare_signal,
+)
 
 
 def expand_transform(matrix, occ_in):
@@ -524,3 +530,47 @@ def true_input_size(signal, *, photon_cap=DEFAULT_PHOTON_CAP):
     """Signal V odds P(1)/P(0) of the signal as prepared, before the gate."""
     state, _ = prepare_signal(signal, photon_cap)
     return state_size(state, DEFAULT_LAYOUT.signal_v)
+
+
+def poisson_weight(mean, n):
+    """Poisson(n; mean) in logs, so no power or factorial overflows."""
+    if mean == 0.0:
+        return 1.0 if n == 0 else 0.0
+    return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
+
+
+def two_mode_weight_outside(alpha_h, alpha_v, cap, long_cap=120):
+    """Weight of the pairs (i, j) with i + j > cap of two coherent ladders,
+    sum |h_i|^2 |v_j|^2 term by term over i, j up to long_cap."""
+    wh = [poisson_weight(abs(alpha_h) ** 2, n) for n in range(long_cap + 1)]
+    wv = [poisson_weight(abs(alpha_v) ** 2, n) for n in range(long_cap + 1)]
+    return math.fsum(a * b for i, a in enumerate(wh) for j, b in enumerate(wv)
+                     if i + j > cap)
+
+
+def weight_at_cap(state):
+    """Weight of the basis states whose total is the cap, gathered."""
+    return float(state.weights()[state.basis.at_cap()].sum())
+
+
+def _odds(dist):
+    return float(dist[1]) / float(dist[0]) if dist[0] > 0.0 else None
+
+
+def marginal_input(gate, state, beyond=0.0):
+    """Truncation weight and input sizes, true and through the gate, of a
+    signal on the herald basis, from np.bincount marginals of signal V: of
+    its weights, and of them times |K_HH|^2."""
+    basis, k_hh, _ = herald_operators(gate, state.basis.photon_cap)
+    weights = state.weights()
+    mode = DEFAULT_LAYOUT.signal_v
+    return (beyond + weight_at_cap(state),
+            _odds(mode_marginal(basis, weights, mode)),
+            _odds(mode_marginal(basis, np.abs(k_hh) ** 2 * weights, mode)))
+
+
+def marginal_output(state, mode=DEFAULT_LAYOUT.signal_v):
+    """p1_out and size_out of a conditional state, from the np.bincount
+    marginal of its signal V mode."""
+    dist = mode_marginal(state.basis, state.weights(), mode)
+    return float(dist[1]), _odds(dist)

@@ -129,21 +129,25 @@ def test_protocol_at_cap_seven(capsys):
 
 @pytest.mark.parametrize("signal", ["coherent", "phase-averaged", "qubit"])
 def test_protocol_reads_one_marginal_per_state(signal, monkeypatch, capsys):
-    # at most one marginal per distinct state: the run reads the
-    # conditional state's once, for p1_out and size_out, and the true input
-    # size the signal's; the through-gate size reads K_HH-weighted signal
-    # weights, which are no state
+    # no marginal per point: the run reads its input sizes and the
+    # conditional state's p1_out and size_out from products with the
+    # gate's cached readout rows
     read = []
-    marginal = fock.occupancy_distribution
 
-    def counted(state, mode):
-        read.append(state)
-        return marginal(state, mode)
+    def counted(name):
+        marginal = getattr(fock, name)
 
-    monkeypatch.setattr(fock, "occupancy_distribution", counted)
+        def wrapper(*args):
+            read.append(name)
+            return marginal(*args)
+
+        return wrapper
+
+    for name in ("occupancy_distribution", "mode_marginal"):
+        monkeypatch.setattr(fock, name, counted(name))
     assert main(["protocol", "--gain", "3", "--alpha2", "1e-3", "--loss",
                  "0.2", "--signal", signal]) == 0
-    assert len(read) == len({id(state) for state in read}) <= 3
+    assert read == []
     doc = json.loads(capsys.readouterr().out)
     row = dict(zip(doc["columns"], doc["rows"][0]))
     assert row["size_in_measured"] == pytest.approx(row["size_in_true"] / 3,
@@ -731,6 +735,23 @@ def test_protocol_without_output_vacuum_exits_numerical(monkeypatch, capsys):
 
     monkeypatch.setattr(protocol, "run_nla", no_vacuum)
     assert main(["protocol", "--gain", "3", "--alpha2", "1e-4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no vacuum component" in captured.err
+
+
+def test_protocol_without_input_vacuum_exits_numerical(monkeypatch, capsys):
+    # a signal with no vacuum has no input size, and the run says so
+    prepare = protocol.prepare_signal
+
+    def no_vacuum(spec, photon_cap):
+        state, beyond = prepare(spec, photon_cap)
+        amps = state.amplitudes.copy()
+        amps[0] = 0.0
+        return fock.State(state.basis, amps), beyond
+
+    monkeypatch.setattr(protocol, "prepare_signal", no_vacuum)
+    assert main(["protocol", "--gain", "3", "--alpha2", "1e-3"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "no vacuum component" in captured.err

@@ -37,6 +37,8 @@ from nla_weaksim.protocol import (
 
 PHI_GRID = [math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2, 2 * math.pi / 3]
 
+_SPREAD = ModeLayout(5, 2, 11, 0)  # signal H sorts after signal V
+
 
 def test_truncated_coherent_amplitudes_and_tail():
     amps, tail = protocol._coherent_ladder(0.1, 3)
@@ -368,7 +370,7 @@ def test_conditional_state_is_the_dense_herald(kind, loss, cap):
             rho = m[:, None] * oracles.dense(state) * m.conj()[None, :]
             prob = np.trace(rho).real
             signal = spec
-            if tail + protocol._weight_at_cap(state) > protocol.TRUNCATION_BOUND:
+            if tail + oracles.weight_at_cap(state) > protocol.TRUNCATION_BOUND:
                 # some cap-2 draws leave too much weight at the cap for a
                 # spec run; their prepared state heralds all the same
                 with pytest.raises(TruncationError, match="at cap 2"):
@@ -405,10 +407,35 @@ def test_lossy_coherent_run_is_the_attenuated_lossless_run():
 @pytest.mark.parametrize("kind", ["coherent", "qubit_truncated",
                                   "phase_averaged"])
 def test_prepared_signal_is_read_only(kind):
-    state, _ = prepare_signal(SignalSpec(kind, 0.03, loss=0.2), 4)
-    assert not state.amplitudes.flags.writeable
-    assert not state.populations.flags.writeable
-    assert not state.weights().flags.writeable
+    # the prepared arrays skip the constructor's copies and checks; handed
+    # to it they pass them and come back the same bytes
+    for loss in (0.0, 0.2):
+        state, _ = prepare_signal(SignalSpec(kind, complex(0.03, -0.02),
+                                             loss=loss), 4)
+        assert not state.weights().flags.writeable
+        for built in (state, phase_averaged_state(0.05, 4)[0],
+                      two_mode_coherent(0.02, 0.03j, 4)[0]):
+            ref = State(built.basis, built.amplitudes, built.populations)
+            for got, want in ((built.amplitudes, ref.amplitudes),
+                              (built.populations, ref.populations)):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+
+
+def test_readout_is_read_only_and_empties_with_the_protocol_caches():
+    # the benchmark's cold-gate op starts from no cache by clearing every
+    # cache_clear in protocol
+    run_nla(SignalSpec("coherent", 0.02), MeterSetting(1.1), photon_cap=4)
+    assert protocol._readout.cache_info().currsize >= 1
+    for rows in protocol._readout("ppbs", 4):
+        assert not rows.flags.writeable
+    for value in vars(protocol).values():
+        clear = getattr(value, "cache_clear", None)
+        if callable(clear):
+            clear()
+    assert protocol._readout.cache_info().currsize == 0
+    assert herald_operators.cache_info().currsize == 0
 
 
 def _odds_of_weights(basis, weights):
@@ -442,6 +469,81 @@ def test_run_reports_both_input_sizes_of_its_signal(kind, gate, loss, cap):
             spec, photon_cap=cap)
         assert out.size_in_measured == experiment.measure_input_size(
             spec, gate, photon_cap=cap)
+
+
+@pytest.mark.parametrize("cap", range(2, 9))
+@pytest.mark.parametrize("loss", [0.0, 0.3])
+@pytest.mark.parametrize("gate", ["ppbs", "ideal"])
+@pytest.mark.parametrize("kind", ["coherent", "qubit_truncated",
+                                  "phase_averaged"])
+def test_readout_of_a_spec_run_is_the_marginal_bit_for_bit(kind, gate, loss,
+                                                          cap):
+    # a spec's weights sit on the n_H = 0 column, so each readout row meets
+    # one of them and the product is the np.bincount marginal exactly; on
+    # another layout the run reads the same numbers
+    for alpha in (0.02, 0.1, complex(0.07, 0.05)):
+        spec = SignalSpec(kind, alpha, loss=loss)
+        state, beyond = prepare_signal(spec, cap)
+        truncation, size_true, size_gate = oracles.marginal_input(
+            gate, state, beyond)
+        for layout in (DEFAULT_LAYOUT, _SPREAD):
+            out = run_nla(spec, MeterSetting(1.1), gate, photon_cap=cap,
+                          layout=layout)
+            got = (out.truncation_weight, out.size_in_true,
+                   out.size_in_measured)
+            assert got == (truncation, size_true, size_gate)
+            assert (out.p1_out, out.size_out) == oracles.marginal_output(
+                out.conditional_state, layout.signal_v)
+        assert experiment.measure_input_size(spec, gate,
+                                             photon_cap=cap) == size_gate
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["ppbs", "ideal"]),
+    st.integers(min_value=2, max_value=8),
+    st.booleans(),
+    st.sampled_from([DEFAULT_LAYOUT, _SPREAD]),
+    st.data(),
+)
+def test_readout_of_a_prebuilt_state_is_the_marginal(gate, cap, mixed, layout,
+                                                     data):
+    # a prebuilt state spreads its weight over the basis, where the product
+    # and np.bincount sum in their own orders
+    basis, _, _ = herald_operators(gate, cap)
+
+    def draw(lo):
+        return data.draw(arrays(float, basis.size, elements=st.floats(lo, 1.0)))
+
+    psi = draw(-1.0) + 1j * draw(-1.0)
+    pops = draw(0.0) if mixed else np.zeros(basis.size)
+    state = State(basis, psi, pops)
+    out = run_nla(state, MeterSetting(1.1), gate, photon_cap=cap,
+                  layout=layout)
+    got = [out.truncation_weight, out.size_in_true, out.size_in_measured]
+    want = list(oracles.marginal_input(gate, state))
+    if out.conditional_state is not None:
+        got += [out.p1_out, out.size_out]
+        want += oracles.marginal_output(out.conditional_state,
+                                        layout.signal_v)
+    for g, w in zip(got, want):
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g == pytest.approx(w, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("gate", ["ppbs", "ideal"])
+def test_a_vacuum_free_input_has_no_sizes(gate):
+    # all weight on n_V = 1 or 2: no size has a vacuum to divide by
+    basis, _, _ = herald_operators(gate, 4)
+    n_v = basis.counts(DEFAULT_LAYOUT.signal_v)
+    state = State(basis, np.where(n_v == 1, 0.6, 0.0),
+                  np.where(n_v == 2, 0.1, 0.0))
+    out = run_nla(state, MeterSetting(1.1), gate, photon_cap=4)
+    assert out.conditional_state is not None
+    assert (out.size_in_true, out.size_in_measured, out.size_out) == \
+        (None, None, None)
+    assert out.p1_out > 0.0
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4, 8])
@@ -816,17 +918,15 @@ def test_two_mode_coherent_is_product():
     assert tail < 1e-9
 
 
-_SPREAD = ModeLayout(5, 2, 11, 0)  # signal H sorts after signal V
-
-
 @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, _SPREAD],
                          ids=["default", "spread"])
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
 def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout, monkeypatch):
     # the gathered array product, in the order in which run_nla names the
     # layout's output modes, is the scalar pair loop on those modes to a few
-    # ulps, and the weight over the cap sums the same terms; the bound
-    # admits every tail, as some pairs leave more than 1e-3 beyond cap 2
+    # ulps, and the weight beyond the cap adds the pairs the loop drops to
+    # those outside both ladders; the bound admits every tail, as some
+    # pairs leave more than 1e-3 beyond cap 2
     monkeypatch.setattr(protocol, "TRUNCATION_BOUND", 1.0)
     rng = np.random.default_rng(cap)
     pairs = [(0.0, 0.3 + 0.2j), (0.0, 0.0), (0.25 - 0.1j, 0.3 + 0.2j),
@@ -844,7 +944,8 @@ def test_two_mode_coherent_matches_the_tensor_oracle(cap, layout, monkeypatch):
         got = state.amplitudes[order]
         assert basis == want.basis
         assert np.allclose(got, want.amplitudes, rtol=2e-15, atol=0.0)
-        assert weight == pytest.approx(tail_h + tail_v + dropped, rel=1e-14)
+        assert weight == pytest.approx(tail_h + tail_v - tail_h * tail_v
+                                       + dropped, rel=1e-14)
         if alpha_h == 0.0:
             assert dropped == 0.0
 
@@ -877,6 +978,32 @@ def test_two_mode_coherent_bounds_both_tails():
     for alpha_h, alpha_v in ((1.5, 0.0), (0.0, 1.5)):
         with pytest.raises(TruncationError, match="beyond and at cap 3"):
             two_mode_coherent(alpha_h, alpha_v, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    *[st.one_of(st.just(0.0), st.floats(1e-3, 6.0)) for _ in range(2)],
+    st.floats(-math.pi, math.pi),
+)
+def test_two_mode_weight_is_the_pairs_outside_the_triangle(cap, mag_h, mag_v,
+                                                           theta):
+    # each pair (n_H, n_V) with n_H + n_V > cap counts once, also where both
+    # photon numbers are beyond the cap, so the weight is a probability
+    alpha_h, alpha_v = cmath.rect(mag_h, theta), mag_v
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "TRUNCATION_BOUND", 1.0)
+        _, weight = two_mode_coherent(alpha_h, alpha_v, cap)
+    want = oracles.two_mode_weight_outside(alpha_h, alpha_v, cap)
+    assert weight == pytest.approx(want, rel=1e-12, abs=1e-300)
+    assert weight <= 1.0
+
+
+def test_two_mode_refusal_names_a_probability():
+    # both mean photon numbers far beyond cap 2: nearly every pair is
+    # outside the triangle, and none is counted twice
+    with pytest.raises(TruncationError, match=r"coherent weight 1\.000e\+00"):
+        two_mode_coherent(math.sqrt(4.74) * 2.029, 2.029, 2)
 
 
 @pytest.mark.parametrize("layout", [DEFAULT_LAYOUT, _SPREAD],
