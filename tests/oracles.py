@@ -9,9 +9,9 @@ traces, a density-matrix check, loss as an explicit Kraus sum (and a lossy
 signal built with it), the pair-loop tensor product of pure states, the
 pair products of two ladders formed from their float parts, the weight of
 two Poisson ladders outside the two-mode triangle, the true input size of a
-signal spec, and a run's numbers read from np.bincount marginals.  The closed-form herald entries also give the
-herald probability of a Poisson signal with no cap.  Density matrices here
-are plain arrays over a basis.
+signal spec, and a run's numbers read from np.bincount marginals.  The
+closed-form herald entries also give the herald probability of a Poisson
+signal with no cap.  Density matrices here are plain arrays over a basis.
 """
 
 from __future__ import annotations
