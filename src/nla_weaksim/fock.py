@@ -256,23 +256,6 @@ class ModeTransform:
         return full
 
 
-def compose_transforms(transforms: Iterable[ModeTransform]) -> ModeTransform:
-    """Single transform equivalent to applying the list in order.
-
-    The lift is a homomorphism, so composing matrices first and lifting once
-    equals lifting each element and multiplying the Fock operators.
-    """
-    transforms = list(transforms)
-    if not transforms:
-        raise ValueError("nothing to compose")
-    modes = tuple(sorted(set().union(*(t.modes for t in transforms))))
-    full = np.eye(len(modes), dtype=complex)
-    for t in transforms:
-        full = t.embed(modes) @ full
-    kind = "unitary" if all(t.kind == "unitary" for t in transforms) else "subunitary"
-    return ModeTransform(full, modes, kind)
-
-
 @lru_cache(maxsize=None)
 def _ryser_table(n: int):
     """Read-only subset table of Ryser's formula for n x n matrices: the

@@ -35,8 +35,9 @@ The herald of a gate U keeps one meter photon, in a (a in H, V), and reads
 two diagonals on the signal basis, K_a = <a| U |a> for each signal
 occupation (n_H, n_V).  The 'ideal' controlled sign has them in closed
 form: K_HH = 1 and K_VV = 1 - 2 [n_V = 1].  The 'ppbs' gate is the
-postselected circuit, built from elements.  Every element keeps
-polarization, so between one meter photon in and one out it conserves the
+postselected three-splitter circuit, one fixed 4 x 4 matrix written in
+closed form from GATE_TRANSMISSION (_PPBS_GATE).  It couples no H mode to
+a V mode, so between one meter photon in and one out it conserves the
 signal occupation, and its herald lifts only that block of U through
 permanents, once per cap.  The full lift (gate_operator) is never built
 for a run.  A run at meter phase phi then applies
@@ -61,19 +62,12 @@ from typing import Literal, Union
 import numpy as np
 
 from . import fock
-from .elements import (
-    DEFAULT_LAYOUT,
-    ModeLayout,
-    PPBSSpec,
-    ppbs,
-    vacuum_restriction,
-)
+from .elements import DEFAULT_LAYOUT, ModeLayout
 from .fock import (
     FockBasis,
     ModeTransform,
     State,
     build_basis,
-    compose_transforms,
     lift_mode_transform,
 )
 
@@ -101,6 +95,23 @@ _SIGNAL_H, _SIGNAL_V = DEFAULT_LAYOUT.signal
 # largest lifted herald entry off the two meter diagonals: the rounding
 # budget of the permanents (see herald_operators)
 _LIFT_ROUNDING = 1e-9
+
+# The postselected three-splitter controlled sign on the fixed modes, as the
+# one matrix its splitters compose to.  An H-splitting PPBS in each arm,
+# its discard port held at vacuum, leaves sqrt(t) on signal H and on meter
+# H; the V-splitting PPBS between the arms is the splitter
+# [[sqrt(t), sqrt(1-t)], [-sqrt(1-t), sqrt(t)]] on (signal V, meter V),
+# whose coincidence amplitude t - (1 - t) = -1/3 at t = 1/3 gives the sign
+# flip.  Conditioned on one photon per output it is the ideal gate times
+# 1/3.  No entry couples an H mode to a V mode.
+_T_AMP = math.sqrt(GATE_TRANSMISSION)
+_R_AMP = math.sqrt(1.0 - GATE_TRANSMISSION)
+_PPBS_GATE = ModeTransform(
+    np.array([[_T_AMP, 0, 0, 0],
+              [0, _T_AMP, 0, _R_AMP],
+              [0, 0, _T_AMP, 0],
+              [0, -_R_AMP, 0, _T_AMP]], dtype=complex),
+    DEFAULT_LAYOUT.modes(), kind="subunitary")
 
 
 class InfiniteGainError(ArithmeticError):
@@ -310,38 +321,18 @@ def phase_averaged_state(alpha: complex, photon_cap: int) -> tuple[State, float]
                           pops), beyond
 
 
-def ppbs_cz_circuit() -> list[ModeTransform]:
-    """Postselected controlled-sign circuit as an ordered element list.
-
-    An H-splitting PPBS in each arm (discard port held at vacuum, on modes
-    4 to 7) and a central V-splitting PPBS between the arms, all with
-    transmission 1/3 on the split polarization.  Conditioned on one photon
-    per output the circuit equals the ideal gate times 1/3.
-    """
-    signal, meter = DEFAULT_LAYOUT.signal, DEFAULT_LAYOUT.meter
-    aux_sig, aux_met = (4, 5), (6, 7)
-    t = GATE_TRANSMISSION
-    arm_signal = vacuum_restriction(
-        ppbs(PPBSSpec(t_h=t, t_v=1.0), signal, aux_sig), aux_sig
-    )
-    central = ppbs(PPBSSpec(t_h=1.0, t_v=t), signal, meter)
-    arm_meter = vacuum_restriction(
-        ppbs(PPBSSpec(t_h=t, t_v=1.0), meter, aux_met), aux_met
-    )
-    return [arm_signal, central, arm_meter]
-
-
 @lru_cache(maxsize=None)
 def gate_operator(
     gate: GateKind, photon_cap: int = DEFAULT_PHOTON_CAP
 ) -> np.ndarray:
-    """Lifted Fock-space operator of the postselected 'ppbs' gate on the
+    """Lifted Fock-space operator of the postselected 'ppbs' gate, the
+    closed-form 4 x 4 matrix _PPBS_GATE lifted through permanents on the
     four modes (cached).  The ideal gate has no lift: its herald is
     closed-form."""
     if gate != "ppbs":
         raise ValueError(f"only the 'ppbs' gate is lifted, not {gate!r}")
     basis = build_basis(4, photon_cap)
-    op = lift_mode_transform(compose_transforms(ppbs_cz_circuit()), basis)
+    op = lift_mode_transform(_PPBS_GATE, basis)
     op.flags.writeable = False
     return op
 
@@ -383,20 +374,18 @@ def herald_operators(
     Returns the two-signal-mode basis at the cap and read-only vectors K_HH
     and K_VV, where K_a holds <one meter photon in a| U |one in a> for each
     signal occupation (n_H, n_V).  The ideal gate's are closed-form:
-    K_HH = 1 and K_VV = 1 - 2 [n_V = 1].  For the postselected gate only the
-    one-meter-photon block of U is lifted, with 4 sum_{n<cap} (n+1)^2
-    permanents, and its entries equal those of gate_operator bit for bit.
-    Two checks guard it, and each raises a ValueError naming the gate and
-    the largest entry it found.  The composed 4 x 4 circuit must have no
-    entry between its H modes (signal H, meter H) and its V modes (signal
-    V, meter V): a polarization-keeping circuit lifts to a block that is
-    exactly diagonal.  Every lifted entry off the two diagonals must then
-    stay within the rounding budget of the permanents, 1e-9: the largest
-    such entry reads about 1.5e-12 at cap 14 and 3.5e-12 at cap 15, grows
-    about 2.5-fold per cap, so the budget holds to about cap 21, past the
-    caps whose lift finishes in minutes.  Gate outputs with no meter photon
-    or two of them never herald.  Entries of signal states at the cap are
-    zero: the meter photon would push them over it.
+    K_HH = 1 and K_VV = 1 - 2 [n_V = 1].  The postselected gate is the
+    fixed closed-form matrix _PPBS_GATE, and only its one-meter-photon
+    block is lifted, with 4 sum_{n<cap} (n+1)^2 permanents; its entries
+    equal those of gate_operator bit for bit.  The matrix couples no H
+    mode to a V mode, so the block is diagonal up to the permanents'
+    rounding.  Every lifted entry off the two diagonals must stay within
+    that rounding budget, 1e-9, or a ValueError names the gate and the
+    largest such entry: it reads about 1.5e-12 at cap 14 and 3.5e-12 at
+    cap 15, grows about 2.5-fold per cap, so the budget holds to about
+    cap 21, past the caps whose lift finishes in minutes.  Gate outputs
+    with no meter photon or two of them never herald.  Entries of signal
+    states at the cap are zero: the meter photon would push them over it.
     """
     if photon_cap < 2:
         raise ValueError(
@@ -412,19 +401,10 @@ def herald_operators(
         k_hh = np.where(inside, 1.0, 0.0).astype(complex)
         k_vv = np.where(inside, flip, 0.0).astype(complex)
     elif gate == "ppbs":
-        circuit = compose_transforms(ppbs_cz_circuit())
-        is_v = np.isin(joint.modes, (_SIGNAL_V, DEFAULT_LAYOUT.meter_v))
-        cross = circuit.embed(joint.modes)[is_v[:, None] != is_v]
-        mixing = float(np.max(np.abs(cross)))
-        if mixing != 0.0:
-            raise ValueError(
-                f"gate {gate!r} does not keep polarization: circuit entry "
-                f"{mixing:.3e} between its H and V modes"
-            )
         # joint occupations (n_H, n_V, meter H, meter V), meter H first
         cut = [joint.index_of(occ + meter) for meter in ((1, 0), (0, 1))
                for occ, keep in zip(signal.occupations, inside) if keep]
-        u = lift_mode_transform(circuit, joint, cut)
+        u = lift_mode_transform(_PPBS_GATE, joint, cut)
         stray = float(np.max(np.abs(u[~np.eye(len(cut), dtype=bool)])))
         if not stray <= _LIFT_ROUNDING:
             raise ValueError(

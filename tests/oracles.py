@@ -1,17 +1,20 @@
 """Independent brute-force routes used to pin expected values in the tests.
 
 Most of what is here works on plain dicts mapping occupation tuples to
-complex amplitudes and deliberately avoids the package's permanent-based code
-paths, so the two implementations can be compared against each other.  The
-last section holds the loop-based routes that only tests need: splitters and
-waveplates as mode transforms, the dense density matrix of a state, partial
-traces, a density-matrix check, loss as an explicit Kraus sum (and a lossy
-signal built with it), the pair-loop tensor product of pure states, the
-pair products of two ladders formed from their float parts, the weight of
-two Poisson ladders outside the two-mode triangle, the true input size of a
-signal spec, and a run's numbers read from np.bincount marginals.  The
-closed-form herald entries also give the herald probability of a Poisson
-signal with no cap.  Density matrices here are plain arrays over a basis.
+complex amplitudes and deliberately avoids the package's permanent-based
+code paths, so the two implementations can be compared against each other.
+The last section holds the loop-based routes that only tests need:
+splitters, partially polarizing splitters, vacuum restrictions and
+waveplates as mode transforms, their composition into one transform (the
+postselected gate's circuit, which production writes in closed form), the
+dense density matrix of a state, partial traces, a density-matrix check,
+loss as an explicit Kraus sum (and a lossy signal built with it), the
+pair-loop tensor product of pure states, the pair products of two ladders
+formed from their float parts, the weight of two Poisson ladders outside the
+two-mode triangle, the true input size of a signal spec, and a run's numbers
+read from np.bincount marginals.  The closed-form herald entries also give
+the herald probability of a Poisson signal with no cap.  Density matrices
+here are plain arrays over a basis.
 """
 
 from __future__ import annotations
@@ -22,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nla_weaksim.elements import (
-    DEFAULT_LAYOUT,
-    ModeLayout,
-    PPBSSpec,
-    ppbs,
-    vacuum_restriction,
-)
+from nla_weaksim.elements import DEFAULT_LAYOUT, ModeLayout
 from nla_weaksim.experiment import state_size
 from nla_weaksim.fock import (
     FockBasis,
@@ -241,11 +238,11 @@ def ppbs_cz_elements(layout: ModeLayout) -> list[ModeTransform]:
     arms, each of transmission 1/3 on the split polarization."""
     top = max(layout.modes())
     aux_sig, aux_met = (top + 1, top + 2), (top + 3, top + 4)
-    arm = PPBSSpec(t_h=1.0 / 3.0, t_v=1.0)
+    t = 1.0 / 3.0
     return [
-        vacuum_restriction(ppbs(arm, layout.signal, aux_sig), aux_sig),
-        ppbs(PPBSSpec(t_h=1.0, t_v=1.0 / 3.0), layout.signal, layout.meter),
-        vacuum_restriction(ppbs(arm, layout.meter, aux_met), aux_met),
+        vacuum_restriction(ppbs(t, 1.0, layout.signal, aux_sig), aux_sig),
+        ppbs(1.0, t, layout.signal, layout.meter),
+        vacuum_restriction(ppbs(t, 1.0, layout.meter, aux_met), aux_met),
     ]
 
 
@@ -318,6 +315,50 @@ def beamsplitter(t, modes):
         raise ValueError(f"transmission {t} outside [0, 1]")
     ta, ra = math.sqrt(t), math.sqrt(1.0 - t)
     return ModeTransform(np.array([[ta, ra], [-ra, ta]], dtype=complex), modes)
+
+
+def compose_transforms(transforms):
+    """Single transform equivalent to applying the list in order.
+
+    The lift is a homomorphism, so composing matrices first and lifting once
+    equals lifting each element and multiplying the Fock operators.
+    """
+    transforms = list(transforms)
+    if not transforms:
+        raise ValueError("nothing to compose")
+    modes = tuple(sorted(set().union(*(t.modes for t in transforms))))
+    full = np.eye(len(modes), dtype=complex)
+    for t in transforms:
+        full = t.embed(modes) @ full
+    kind = "unitary" if all(t.kind == "unitary" for t in transforms) else "subunitary"
+    return ModeTransform(full, modes, kind)
+
+
+def ppbs(t_h, t_v, a, b):
+    """Partially polarizing splitter between two (H, V) spatial paths.
+
+    Block diagonal: a splitter of intensity transmission t_h on the H pair
+    and one of t_v on the V pair (see beamsplitter, which rejects a
+    transmission outside [0, 1]).  (1, 1) is the identity.
+    """
+    m = np.eye(4, dtype=complex)
+    for t, pair in ((t_h, [0, 2]), (t_v, [1, 3])):
+        m[np.ix_(pair, pair)] = beamsplitter(t, (0, 1)).matrix
+    return ModeTransform(m, (a[0], a[1], b[0], b[1]))
+
+
+def vacuum_restriction(t, drop):
+    """Postselect unused ports on vacuum by deleting their rows and columns.
+
+    Valid when the dropped input ports carry vacuum and their outputs are
+    conditioned empty; the lifted restricted matrix then equals
+    <0_drop| U |0_drop> exactly.  The result is flagged subunitary.
+    """
+    keep = [i for i, m in enumerate(t.modes) if m not in drop]
+    if len(keep) == len(t.modes):
+        return t
+    sub = t.matrix[np.ix_(keep, keep)]
+    return ModeTransform(sub, tuple(t.modes[i] for i in keep), kind="subunitary")
 
 
 @dataclass(frozen=True)

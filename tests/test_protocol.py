@@ -29,7 +29,6 @@ from nla_weaksim.protocol import (
     herald_operators,
     phase_averaged_state,
     phi_for_gain,
-    ppbs_cz_circuit,
     prepare_signal,
     run_nla,
     two_mode_coherent,
@@ -120,11 +119,19 @@ def test_phi_for_gain_round_trip():
         phi_for_gain(-1.0)
 
 
-def test_ppbs_circuit_matches_reference_matrix():
-    circuit = ppbs_cz_circuit()
-    combined = fock.compose_transforms(circuit)
-    assert combined.kind == "subunitary"
-    assert np.max(np.abs(combined.matrix - oracles.ppbs_circuit_matrix())) < 1e-14
+def test_ppbs_gate_is_the_composed_circuit_bit_for_bit():
+    # the closed-form 4 x 4 of production against the oracle circuit, its
+    # three splitters composed, and the 2 x 2 blocks of the dict reference
+    gate = protocol._PPBS_GATE
+    combined = oracles.compose_transforms(
+        oracles.ppbs_cz_elements(DEFAULT_LAYOUT))
+    assert gate.modes == combined.modes == DEFAULT_LAYOUT.modes()
+    assert gate.kind == combined.kind == "subunitary"
+    assert gate.matrix.tobytes() == combined.matrix.tobytes()
+    assert np.max(np.abs(gate.matrix - oracles.ppbs_circuit_matrix())) < 1e-14
+    # no entry between an H mode (signal H, meter H) and a V mode
+    is_v = np.isin(gate.modes, (DEFAULT_LAYOUT.signal_v, DEFAULT_LAYOUT.meter_v))
+    assert np.count_nonzero(gate.matrix[is_v[:, None] != is_v]) == 0
 
 
 def test_ideal_cz_flips_exactly_one_component():
@@ -680,17 +687,17 @@ def _meter_cut(layout, basis, joint, meter_mode, inside):
 @pytest.mark.parametrize("cap", [2, 3, 4, 5])
 def test_herald_diagonals_are_bit_equal_to_the_full_gate_cut(gate, cap,
                                                              layout):
-    # the gate is rebuilt from elements on the layout's four modes, with the
-    # discard ports above them, and lifted whole.  Its one-meter-photon
-    # diagonals hold the bits of a block lift on the same embedding, and on
-    # the fixed modes those of the herald, which lifts only its block (or,
-    # for the ideal gate, writes it in closed form).  On other embeddings
-    # the permanents see reordered rows and columns and round apart from
-    # the herald, within 1e-12.
+    # the gate is composed from the oracle circuit's splitters on the
+    # layout's four modes, with the discard ports above them, and lifted
+    # whole.  Its one-meter-photon diagonals hold the bits of a block lift
+    # on the same embedding, and on the fixed modes those of the herald,
+    # which lifts only its block (or, for the ideal gate, writes it in
+    # closed form).  On other embeddings the permanents see reordered rows
+    # and columns and round apart from the herald, within 1e-12.
     basis, k_hh, k_vv = herald_operators(gate, cap)
     joint = build_basis(4, cap, modes=layout.modes())
     if gate == "ppbs":
-        circuit = fock.compose_transforms(oracles.ppbs_cz_elements(layout))
+        circuit = oracles.compose_transforms(oracles.ppbs_cz_elements(layout))
         u = fock.lift_mode_transform(circuit, joint)
     else:
         u = oracles.ideal_cz(joint, layout=layout)
@@ -757,18 +764,28 @@ def test_a_layout_only_names_the_modes_of_the_output(layout):
     assert herald_operators.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("cap", range(2, 11))
+def test_ppbs_herald_matches_the_closed_form_at_every_cap(cap):
+    # the lift through permanents against K_HH = 3^{-(1 + N)/2} and
+    # K_VV = 3^{-n_H/2} tau^{n_V - 1} (tau^2 - n_V rho^2); their largest
+    # gap reads 0 at cap 2, 2.6e-15 at cap 4, 1.9e-13 at cap 8 and 6.4e-13
+    # at cap 10, the permanents' rounding
+    _, k_hh, k_vv = herald_operators("ppbs", cap)
+    want_hh, want_vv = oracles.herald_diagonals("ppbs", cap)
+    assert np.max(np.abs(k_hh - want_hh)) < 2e-12
+    assert np.max(np.abs(k_vv - want_vv)) < 2e-12
+
+
 def test_herald_operators_reject_a_gate_that_mixes_polarization(monkeypatch):
     # a half-wave plate on the signal after the gate turns n_H into n_V, so
-    # the meter blocks are no longer diagonal
-    circuit = protocol.ppbs_cz_circuit
-
-    def mixing_circuit():
-        return circuit() + [oracles.hwp(math.pi / 8, DEFAULT_LAYOUT.signal)]
-
-    monkeypatch.setattr(protocol, "ppbs_cz_circuit", mixing_circuit)
+    # the lifted meter blocks are no longer diagonal
+    mixing = oracles.compose_transforms(
+        oracles.ppbs_cz_elements(DEFAULT_LAYOUT)
+        + [oracles.hwp(math.pi / 8, DEFAULT_LAYOUT.signal)])
+    monkeypatch.setattr(protocol, "_PPBS_GATE", mixing)
     herald_operators.cache_clear()
     try:
-        with pytest.raises(ValueError, match="'ppbs'.*e-"):
+        with pytest.raises(ValueError, match="'ppbs'.*off the diagonal"):
             herald_operators("ppbs", 3)
     finally:
         herald_operators.cache_clear()
